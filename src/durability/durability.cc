@@ -43,8 +43,9 @@ template <typename Engine>
 Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
                     Engine* engine) {
   if (default_cost < 0 || added.empty()) return Status::OK();
+  // No name table on the pricing instance: the estimator reads names only
+  // for per-property difficulties, which replay never sets.
   Instance pricing;
-  pricing.set_property_names(engine->property_names());
   for (const PropertySet& query : added) pricing.AddQuery(query);
   data::CostEstimatorOptions estimator;
   estimator.default_difficulty = default_cost;
@@ -118,7 +119,7 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
       return Status::IOError("WAL record " + std::to_string(record.seq) +
                              ": " + trace.status().message());
     }
-    engine->set_property_names(trace->property_names);
+    engine->ExtendPropertyNames(trace->property_names);
     std::vector<PropertySet> add;
     std::vector<PropertySet> remove;
     for (online::TraceOp& op : trace->ops) {

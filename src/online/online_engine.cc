@@ -40,7 +40,36 @@ Status OnlineEngine::SetCost(const PropertySet& classifier, Cost cost) {
         "added or re-priced, never removed)");
   }
   costs_[classifier] = cost;
+  // A classifier in a stored solution lies inside the component owning its
+  // properties; that component's piece carries the old price, so replace it
+  // (views already published keep the piece they captured).
+  const auto owner = component_of_prop_.find(*classifier.begin());
+  if (owner != component_of_prop_.end()) {
+    Component& component = components_.at(owner->second);
+    if (component.solution.Contains(classifier)) {
+      component.piece = BuildPiece(component.solution);
+    }
+  }
   return Status::OK();
+}
+
+void OnlineEngine::ExtendPropertyNames(const std::vector<std::string>& names) {
+  if (names.size() <= names_.size()) return;
+  names_.insert(names_.end(),
+                names.begin() + static_cast<std::ptrdiff_t>(names_.size()),
+                names.end());
+}
+
+std::shared_ptr<const ViewPiece> OnlineEngine::BuildPiece(
+    const Solution& solution) const {
+  auto piece = std::make_shared<ViewPiece>();
+  std::vector<PropertySet> sorted = solution.Sorted();
+  piece->reserve(sorted.size());
+  for (PropertySet& classifier : sorted) {
+    const Cost cost = CostOf(classifier);
+    piece->emplace_back(std::move(classifier), cost);
+  }
+  return piece;
 }
 
 Cost OnlineEngine::CostOf(const PropertySet& classifier) const {
@@ -60,7 +89,6 @@ bool OnlineEngine::Coverable(const PropertySet& query) const {
 Instance OnlineEngine::BuildSubInstance(
     const std::vector<size_t>& slots) const {
   Instance sub;
-  sub.set_property_names(names_);
   for (size_t slot : slots) sub.AddQuery(queries_[slot]);
   for (const PropertySet& q : sub.queries()) {
     ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
@@ -277,6 +305,7 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
       for (PropertyId p : queries_[slot]) component_of_prop_[p] = cid;
     }
     total_cost_ += fresh[i].cost;
+    fresh[i].piece = BuildPiece(fresh[i].solution);
     components_.emplace(cid, std::move(fresh[i]));
   }
   stats.components_resolved = fresh.size();
@@ -329,14 +358,21 @@ Result<UpdateStats> OnlineEngine::RemoveQueries(
 }
 
 Solution OnlineEngine::CurrentSolution() const {
-  std::vector<size_t> ids;
-  ids.reserve(components_.size());
-  // mc3-lint: unordered-ok(ids are sorted before any order-sensitive use)
-  for (const auto& [cid, component] : components_) ids.push_back(cid);
-  std::sort(ids.begin(), ids.end());
   Solution merged;
-  for (size_t cid : ids) merged.Merge(components_.at(cid).solution);
+  for (const auto& [cid, component] : components_) {
+    merged.Merge(component.solution);
+  }
   return merged;
+}
+
+std::vector<std::shared_ptr<const ViewPiece>> OnlineEngine::ViewPieces()
+    const {
+  std::vector<std::shared_ptr<const ViewPiece>> pieces;
+  pieces.reserve(components_.size());
+  for (const auto& [cid, component] : components_) {
+    pieces.push_back(component.piece);
+  }
+  return pieces;
 }
 
 Instance OnlineEngine::LiveInstance() const {
@@ -344,7 +380,9 @@ Instance OnlineEngine::LiveInstance() const {
   for (size_t slot = 0; slot < queries_.size(); ++slot) {
     if (live_[slot]) slots.push_back(slot);
   }
-  return BuildSubInstance(slots);
+  Instance live = BuildSubInstance(slots);
+  live.set_property_names(names_);
+  return live;
 }
 
 size_t EngineState::NumQueries() const {
@@ -357,14 +395,8 @@ EngineState OnlineEngine::ExportState() const {
   EngineState state;
   state.property_names = names_;
   state.costs = SortedCostEntries(costs_);
-  std::vector<size_t> ids;
-  ids.reserve(components_.size());
-  // mc3-lint: unordered-ok(ids are sorted before any order-sensitive use)
-  for (const auto& [cid, component] : components_) ids.push_back(cid);
-  std::sort(ids.begin(), ids.end());
-  state.components.reserve(ids.size());
-  for (size_t cid : ids) {
-    const Component& component = components_.at(cid);
+  state.components.reserve(components_.size());
+  for (const auto& [cid, component] : components_) {
     EngineState::Component out;
     std::vector<size_t> slots = component.queries;
     std::sort(slots.begin(), slots.end());
@@ -423,6 +455,7 @@ Status OnlineEngine::ImportState(const EngineState& state) {
       component.solution.Add(classifier);
     }
     component.cost = in.cost;
+    component.piece = BuildPiece(component.solution);
     total_cost_ += component.cost;
     components_.emplace(cid, std::move(component));
   }
@@ -442,7 +475,6 @@ Status OnlineEngine::CheckInvariants() const {
   size_t partitioned = 0;
   std::unordered_map<PropertyId, size_t> expected_props;
   Cost component_sum = 0;
-  // mc3-lint: unordered-ok(invariant scan; every failure is the same error)
   for (const auto& [cid, component] : components_) {
     if (component.queries.empty()) {
       return Status::Internal("empty component in the registry");
@@ -463,6 +495,17 @@ Status OnlineEngine::CheckInvariants() const {
       }
     }
     component_sum += component.cost;
+    const ViewPiece& piece = *component.piece;
+    const std::vector<PropertySet> sorted = component.solution.Sorted();
+    if (piece.size() != sorted.size()) {
+      return Status::Internal("view piece out of sync with its solution");
+    }
+    for (size_t i = 0; i < piece.size(); ++i) {
+      // mc3-lint: float-eq-ok(a piece copies the table price bit-exactly)
+      if (piece[i].first != sorted[i] || piece[i].second != CostOf(sorted[i])) {
+        return Status::Internal("view piece out of sync with its solution");
+      }
+    }
   }
   if (partitioned != num_live_) {
     return Status::Internal("components do not partition the live queries");

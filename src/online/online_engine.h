@@ -26,8 +26,11 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
@@ -68,6 +71,13 @@ struct UpdateStats {
   /// Wall time of the update: repartition + sub-instance builds + solves.
   double resolve_seconds = 0;
 };
+
+/// One committed component's share of a read view (src/online/read_view.h):
+/// its solution in canonical (sorted) order, each classifier paired with its
+/// table price. Built once when the component is committed and never
+/// mutated, so views of successive versions share the pieces of every
+/// component an update did not touch.
+using ViewPiece = std::vector<std::pair<PropertySet, Cost>>;
 
 /// Cumulative counters over the engine's lifetime.
 struct EngineCounters {
@@ -112,7 +122,8 @@ class OnlineEngine {
   /// added or re-priced but never removed: `cost` must be finite and
   /// non-negative, and re-pricing does not re-solve components that already
   /// bought the classifier (their stored cost keeps the old price until
-  /// something else dirties them).
+  /// something else dirties them). The view piece of such a component is
+  /// rebuilt, so read views always carry the table's current price.
   Status SetCost(const PropertySet& classifier, Cost cost);
 
   /// Price of `classifier` in the engine's table; +infinity when absent.
@@ -137,6 +148,13 @@ class OnlineEngine {
   /// Union of the per-component solutions: the classifiers to keep trained.
   Solution CurrentSolution() const;
 
+  /// The per-component view pieces in component-id order. Their
+  /// concatenation holds every classifier of CurrentSolution() exactly once
+  /// (components own disjoint properties, so no classifier is shared), each
+  /// with its CostOf price. O(components): the pieces are shared, not
+  /// copied.
+  std::vector<std::shared_ptr<const ViewPiece>> ViewPieces() const;
+
   /// Materializes the current instance: live queries plus the relevant
   /// finite-cost classifiers.
   Instance LiveInstance() const;
@@ -149,6 +167,10 @@ class OnlineEngine {
   void set_property_names(std::vector<std::string> names) {
     names_ = std::move(names);
   }
+  /// Adopts `names`, which must extend the current table (names only grow,
+  /// by interning): appends the entries past the current size, so the cost
+  /// is O(new names), not O(table).
+  void ExtendPropertyNames(const std::vector<std::string>& names);
 
   /// Exports the full engine state (price table, live queries, stored
   /// per-component solutions) in canonical form. The inverse of
@@ -175,13 +197,20 @@ class OnlineEngine {
     std::vector<size_t> queries;  ///< live query slots of this component
     Solution solution;
     Cost cost = 0;
+    /// `solution` sorted and priced; rebuilt only by a re-price.
+    std::shared_ptr<const ViewPiece> piece;
   };
+
+  /// Builds the view piece of `solution` at the current prices.
+  std::shared_ptr<const ViewPiece> BuildPiece(const Solution& solution) const;
 
   /// True iff every property of `query` is covered by some finite-cost
   /// classifier of the table that is a subset of `query`.
   bool Coverable(const PropertySet& query) const;
 
-  /// Builds the sub-instance over the live queries in `slots`.
+  /// Builds the sub-instance over the live queries in `slots`, without a
+  /// name table: solvers only render names into error messages, and copying
+  /// the table per re-solved component would cost O(names) per update.
   Instance BuildSubInstance(const std::vector<size_t>& slots) const;
 
   /// Solves `sub` with the configured solver. On success stores solution
@@ -200,8 +229,9 @@ class OnlineEngine {
   CostMap costs_;
   std::vector<std::string> names_;
 
-  /// Component registry; ids are never reused.
-  std::unordered_map<size_t, Component> components_;
+  /// Component registry; ids are never reused and only grow, so iteration
+  /// runs in creation order.
+  std::map<size_t, Component> components_;
   size_t next_component_id_ = 0;
   /// Slot -> owning component id (valid for live slots only).
   std::vector<size_t> component_of_slot_;

@@ -221,6 +221,15 @@ void ShardedEngine::set_property_names(std::vector<std::string> names) {
   }
 }
 
+void ShardedEngine::ExtendPropertyNames(
+    const std::vector<std::string>& names) {
+  if (names.size() <= names_.size()) return;
+  names_.insert(names_.end(),
+                names.begin() + static_cast<std::ptrdiff_t>(names_.size()),
+                names.end());
+  for (OnlineEngine& engine : engines_) engine.ExtendPropertyNames(names);
+}
+
 ShardedState ShardedEngine::ExportSharded() const {
   ShardedState out;
   out.num_shards = num_shards();

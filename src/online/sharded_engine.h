@@ -137,6 +137,9 @@ class ShardedEngine {
   const std::vector<std::string>& property_names() const { return names_; }
   /// Adopts `names` on the facade and every shard.
   void set_property_names(std::vector<std::string> names);
+  /// Adopts `names`, which must extend the current table (names only grow,
+  /// by interning), on the facade and every shard: O(new names x shards).
+  void ExtendPropertyNames(const std::vector<std::string>& names);
 
   /// Exports the full sharded state (shard-major canonical component
   /// order, replicated cost table rendered once).

@@ -24,12 +24,16 @@ class BoundedQueue {
  public:
   explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
 
-  /// Enqueues `item` unless the queue is full or closed. Never blocks.
-  bool TryPush(T item) {
+  /// Enqueues `item` unless the queue is full or closed. Never blocks. On
+  /// success stores into `*depth` (when given) the depth including `item`,
+  /// read under the lock: a consumer may pop the item the moment the lock
+  /// drops, so a later Depth() call can miss it (high watermarks use this).
+  bool TryPush(T item, size_t* depth = nullptr) {
     {
       util::MutexLock lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
+      if (depth != nullptr) *depth = items_.size();
     }
     ready_.NotifyOne();
     return true;

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -48,38 +49,6 @@ void RecordReadStageSeconds(const char* stage, Request::Op op,
   obs::MetricsRegistry::Global()
       .GetHistogram(std::string("server.read.") + stage + "." + OpName(op))
       .Record(seconds);
-}
-
-/// Merges the per-shard view solutions into the canonical cross-shard
-/// sequence: exactly the contents and order of
-/// ShardedEngine::CurrentSolution().Sorted() (concatenate in shard order,
-/// sort, drop duplicates). Each classifier keeps the price captured at
-/// publish time, so snapshot renders never consult a cost table.
-std::vector<std::pair<PropertySet, Cost>> MergeViewClassifiers(
-    const std::vector<const online::EngineReadView*>& shards) {
-  if (shards.size() == 1) return shards.front()->classifiers;
-  std::vector<std::pair<PropertySet, Cost>> merged;
-  size_t total = 0;
-  for (const online::EngineReadView* view : shards) {
-    total += view->classifiers.size();
-  }
-  merged.reserve(total);
-  for (const online::EngineReadView* view : shards) {
-    merged.insert(merged.end(), view->classifiers.begin(),
-                  view->classifiers.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const std::pair<PropertySet, Cost>& a,
-               const std::pair<PropertySet, Cost>& b) {
-              return a.first < b.first;
-            });
-  merged.erase(std::unique(merged.begin(), merged.end(),
-                           [](const std::pair<PropertySet, Cost>& a,
-                              const std::pair<PropertySet, Cost>& b) {
-                             return a.first == b.first;
-                           }),
-               merged.end());
-  return merged;
 }
 
 /// Best-effort pin of `thread` to core `index % cores` (--pin-cores).
@@ -368,6 +337,10 @@ void Server::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Every response is one complete line: send it at once instead of
+    // letting Nagle hold it until the client ACKs the previous one.
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
@@ -508,7 +481,8 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
   if (trace.sampled) pending.queued_us = telemetry_.NowUs();
   const Request::Op op = pending.request.op;
   const uint64_t id = pending.request.id;
-  if (!queue_.TryPush(std::move(pending))) {
+  size_t depth_now = 0;
+  if (!queue_.TryPush(std::move(pending), &depth_now)) {
     if (queue_.closed()) {
       refused_draining_.fetch_add(1, std::memory_order_relaxed);
       WriteResponse(conn, RenderErrorResponse(id, op, 503,
@@ -522,7 +496,6 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     }
     return;
   }
-  const size_t depth_now = queue_.Depth();
   obs::MetricsRegistry::Global()
       .GetGauge("server.queue_depth")
       .Set(static_cast<double>(depth_now));
@@ -613,13 +586,13 @@ Result<online::UpdateStats> Server::ApplyEngineUpdate(
             }
             barrier->done.NotifyOne();
           };
-          if (!shard_queues_[s]->TryPush(wrapped)) {
+          size_t shard_depth = 0;
+          if (!shard_queues_[s]->TryPush(wrapped, &shard_depth)) {
             // Closed or full (neither can happen while engine workers are
             // live, but a lost job would deadlock the batch): run inline.
             wrapped();
           }
           // Shard-queue high watermark (point-in-time depths miss bursts).
-          const size_t shard_depth = shard_queues_[s]->Depth();
           uint64_t seen = shard_counters_[s].queue_depth_max.load(
               std::memory_order_relaxed);
           while (seen < shard_depth &&
@@ -713,8 +686,9 @@ PropertySet Server::InternQuery(const std::vector<std::string>& names) {
 
 Status Server::PriceUnknown(const std::vector<PropertySet>& added) {
   if (options_.default_cost < 0 || added.empty()) return Status::OK();
+  // No name table on the pricing instance: the estimator reads names only
+  // for per-property difficulties, which the server never sets.
   Instance pricing;
-  pricing.set_property_names(names_);
   for (const PropertySet& query : added) pricing.AddQuery(query);
   data::CostEstimatorOptions estimator;
   estimator.default_difficulty = options_.default_cost;
@@ -823,7 +797,7 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
       }
       coalescer.Fold(parsed[i].add, parsed[i].remove);
     }
-    engine_.set_property_names(names_);
+    engine_.ExtendPropertyNames(names_);
 
     const NetUpdate net = coalescer.Take();
     RecordStageSeconds("coalesce", Request::Op::kUpdate,
@@ -923,7 +897,14 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     }
     // Publish before the lock drops (and so before any ack is written):
     // a client that saw its ack reads its write on the lock-free path.
-    if (any_applied) PublishReadViews(touched);
+    if (any_applied) {
+      Timer publish_timer;
+      const double publish_start_us = tracing ? telemetry_.NowUs() : 0;
+      PublishReadViews(touched);
+      RecordStageSeconds("publish_views", Request::Op::kUpdate,
+                         publish_timer.Seconds());
+      telemetry_.Span("publish_views", publish_start_us, sampled_ids);
+    }
     MaybeCheckpoint();
   }
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -1169,8 +1150,9 @@ std::string Server::RenderSolveFromIndex(const Request& request,
                                          uint64_t trace_id,
                                          const ReadIndex& index) {
   // Field-for-field identical to HandleSolve's render at the same state:
-  // sums run in shard order (ShardedEngine::TotalCost), the solution is
-  // merged canonically (MergeViewClassifiers above).
+  // sums run in shard order (ShardedEngine::TotalCost). A plain solve reads
+  // only the views' counts, O(shards); the solution list is merged
+  // canonically (online::MergeViewClassifiers) only when asked for.
   obs::JsonWriter writer(/*compact=*/true);
   writer.BeginObject();
   writer.Key("id").Int(request.id);
@@ -1180,21 +1162,21 @@ std::string Server::RenderSolveFromIndex(const Request& request,
   Cost total = 0;
   size_t queries = 0;
   size_t components = 0;
+  size_t classifiers = 0;
   for (const online::EngineReadView* view : index.shards) {
     total += view->total_cost;
     queries += view->num_queries;
-    components += view->num_components;
+    components += view->pieces.size();
+    classifiers += view->num_classifiers;
   }
   writer.Key("cost").Number(total);
   writer.Key("queries").Int(queries);
   writer.Key("components").Int(components);
-  const std::vector<std::pair<PropertySet, Cost>> merged =
-      MergeViewClassifiers(index.shards);
-  writer.Key("classifiers").Int(merged.size());
+  writer.Key("classifiers").Int(classifiers);
   if (request.include_solution) {
     const std::vector<std::string>& names = *index.names;
     writer.Key("solution").BeginArray();
-    for (const auto& entry : merged) {
+    for (const auto& entry : online::MergeViewClassifiers(index.shards)) {
       writer.BeginArray();
       for (const PropertyId id : entry.first) {
         writer.String(id < names.size() ? names[id] : std::to_string(id));
@@ -1225,16 +1207,14 @@ std::string Server::RenderSnapshotFromIndex(const Request& request,
   for (const online::EngineReadView* view : index.shards) {
     total += view->total_cost;
     queries += view->num_queries;
-    components += view->num_components;
+    components += view->pieces.size();
   }
   writer.Key("cost").Number(total);
   writer.Key("queries").Int(queries);
   writer.Key("components").Int(components);
-  const std::vector<std::pair<PropertySet, Cost>> merged =
-      MergeViewClassifiers(index.shards);
   const std::vector<std::string>& names = *index.names;
   writer.Key("classifiers").BeginArray();
-  for (const auto& entry : merged) {
+  for (const auto& entry : online::MergeViewClassifiers(index.shards)) {
     writer.BeginObject();
     writer.Key("properties").BeginArray();
     for (const PropertyId id : entry.first) {
@@ -1530,6 +1510,16 @@ void Server::WithShardedEngine(
     const std::function<void(const online::ShardedEngine&)>& fn) {
   util::MutexLock lock(engine_mu_);
   fn(engine_);
+}
+
+void Server::WithReadViews(
+    const std::function<
+        void(const std::vector<const online::EngineReadView*>&)>& fn) {
+  concurrency::ReaderRegistration reader(epochs_);
+  concurrency::ReadGuard guard(epochs_, reader);
+  const ReadIndex* index = index_publisher_.Acquire();
+  fn(index == nullptr ? std::vector<const online::EngineReadView*>{}
+                      : index->shards);
 }
 
 }  // namespace mc3::server

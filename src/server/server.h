@@ -222,6 +222,13 @@ class Server {
   void WithShardedEngine(
       const std::function<void(const online::ShardedEngine&)>& fn);
 
+  /// Read access to the currently published per-shard views (what the
+  /// lock-free read path renders), for equivalence checks in tests. Pins an
+  /// epoch for the duration of `fn`, which must not re-enter the server.
+  void WithReadViews(
+      const std::function<
+          void(const std::vector<const online::EngineReadView*>&)>& fn);
+
   /// The durability manager, or nullptr when serving non-durably. Valid
   /// after Start; the CLI uses it to report what recovery did.
   const durability::DurabilityManager* durability_manager() const {

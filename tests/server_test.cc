@@ -77,6 +77,25 @@ TEST(BoundedQueueTest, TryPushRespectsCapacity) {
   EXPECT_EQ(queue.Depth(), 2u);
 }
 
+TEST(BoundedQueueTest, TryPushReportsDepthIncludingTheItem) {
+  // The depth is read under the queue lock, so a consumer that pops the
+  // item right after the push cannot hide it from a high watermark.
+  BoundedQueue<int> queue(2);
+  size_t depth = 0;
+  ASSERT_TRUE(queue.TryPush(1, &depth));
+  EXPECT_EQ(depth, 1u);
+  ASSERT_TRUE(queue.TryPush(2, &depth));
+  EXPECT_EQ(depth, 2u);
+  ASSERT_TRUE(queue.Pop().has_value());
+  ASSERT_TRUE(queue.Pop().has_value());
+  ASSERT_TRUE(queue.TryPush(3, &depth));
+  EXPECT_EQ(depth, 1u);
+  depth = 7;
+  ASSERT_TRUE(queue.TryPush(4));
+  EXPECT_FALSE(queue.TryPush(5, &depth));
+  EXPECT_EQ(depth, 7u);  // untouched by a refused push
+}
+
 TEST(BoundedQueueTest, PopReturnsInFifoOrder) {
   BoundedQueue<int> queue(4);
   ASSERT_TRUE(queue.TryPush(1));

@@ -97,6 +97,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "online/churn.h"
 #include "online/online_engine.h"
 #include "online/update_trace.h"
 #include "server/server.h"
@@ -1029,12 +1030,20 @@ int CmdBench(const BenchConfig& config) {
   }
 
   // Case 2: the exact k <= 2 path (Algorithm 2: vertex cover via max-flow).
+  // One log of 20k pairs saturates the generator's property pool (it
+  // shrinks as n/t), and preprocessing then settles every query: the flow
+  // path would run on nothing. The full-size workload is therefore 20
+  // independent logs of the quick size, each with its own pool (catalog
+  // categories); the first is the quick workload itself, so both scales
+  // keep the same k <= 2 residual and the quick report is unchanged.
   if (CaseSelected(config, "k2")) {
     data::SyntheticConfig synth;
-    synth.num_queries = scaled(20000);
+    synth.num_queries = 1000;
     synth.max_query_length = 2;
     synth.seed = seed + 1;
-    const Instance instance = data::GenerateSynthetic(synth);
+    const Instance instance =
+        config.quick ? data::GenerateSynthetic(synth)
+                     : online::GenerateShardedSynthetic({20, synth});
     if (int code = RunBenchSolveCase("k2", instance,
                                      K2ExactSolver(SolverOptions{}), config,
                                      &run_metrics, &traces, &cases);
