@@ -22,6 +22,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 ITERATIONS="${2:-20}"
+SERVE_TAG="recover_smoke"
 MC3="$BUILD_DIR/tools/mc3"
 LOADGEN="$BUILD_DIR/tools/mc3_loadgen"
 ART_DIR="recover_smoke_artifacts"
@@ -38,37 +39,25 @@ mkdir -p "$ART_DIR"
 WORKLOAD="$ART_DIR/workload.csv"
 DATA_DIR="$ART_DIR/data"
 PORT_FILE="$ART_DIR/port"
+# shellcheck source=scripts/lib_serve.sh
+source "$(dirname "$0")/lib_serve.sh"
 
 "$MC3" generate --dataset synthetic --n 60 --seed 5 -o "$WORKLOAD"
 
-SERVER_PID=""
 LOADGEN_PID=""
 cleanup() {
   [ -n "$LOADGEN_PID" ] && kill -9 "$LOADGEN_PID" 2>/dev/null || true
-  [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
+  serve_kill
 }
 trap cleanup EXIT
 
+# Every life serves the shared data dir, checkpointing and keeping the full
+# WAL history for the offline replay.
 start_server() {
   local log="$1"
   shift
-  rm -f "$PORT_FILE"
-  "$MC3" serve "$WORKLOAD" --listen 0 --port-file "$PORT_FILE" \
-    --default-cost 2 --data-dir "$DATA_DIR" --checkpoint-every 7 \
-    --keep-wal-segments "$@" >"$log" 2>&1 &
-  SERVER_PID=$!
-  for _ in $(seq 1 100); do
-    [ -s "$PORT_FILE" ] && return 0
-    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-      echo "recover_smoke: server exited before listening" >&2
-      cat "$log" >&2
-      return 1
-    fi
-    sleep 0.1
-  done
-  echo "recover_smoke: timed out waiting for the port file" >&2
-  cat "$log" >&2
-  return 1
+  serve_start "$log" "server" --data-dir "$DATA_DIR" --checkpoint-every 7 \
+    --keep-wal-segments "$@"
 }
 
 for i in $(seq 1 "$ITERATIONS"); do
@@ -91,9 +80,7 @@ for i in $(seq 1 "$ITERATIONS"); do
   # different phase every iteration (7919 is prime to 400).
   DELAY=$(awk "BEGIN{printf \"%.3f\", 0.05 + (($i * 7919) % 400) / 1000}")
   sleep "$DELAY"
-  kill -9 "$SERVER_PID" 2>/dev/null || true
-  wait "$SERVER_PID" 2>/dev/null || true
-  SERVER_PID=""
+  serve_kill
   kill -9 "$LOADGEN_PID" 2>/dev/null || true
   wait "$LOADGEN_PID" 2>/dev/null || true
   LOADGEN_PID=""
@@ -140,9 +127,7 @@ for i in $(seq 1 "$SHARD_ITERATIONS"); do
 
   DELAY=$(awk "BEGIN{printf \"%.3f\", 0.05 + (($i * 7919) % 400) / 1000}")
   sleep "$DELAY"
-  kill -9 "$SERVER_PID" 2>/dev/null || true
-  wait "$SERVER_PID" 2>/dev/null || true
-  SERVER_PID=""
+  serve_kill
   kill -9 "$LOADGEN_PID" 2>/dev/null || true
   wait "$LOADGEN_PID" 2>/dev/null || true
   LOADGEN_PID=""
@@ -187,12 +172,7 @@ LOG="$ART_DIR/server_final.log"
 start_server "$LOG" --shards 4
 "$LOADGEN" --quick --port-file "$PORT_FILE" --shutdown \
   --report "$ART_DIR/load_report.json" >"$ART_DIR/loadgen_final.log" 2>&1
-if ! wait "$SERVER_PID"; then
-  echo "recover_smoke: recovered server exited non-zero after drain" >&2
-  cat "$LOG" >&2
-  exit 1
-fi
-SERVER_PID=""
+serve_wait "$LOG" "recovered server"
 grep -q '^recovered:' "$LOG"
 grep -q '^drained:' "$LOG"
 

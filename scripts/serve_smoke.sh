@@ -24,6 +24,7 @@
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
+SERVE_TAG="serve_smoke"
 MC3="$BUILD_DIR/tools/mc3"
 LOADGEN="$BUILD_DIR/tools/mc3_loadgen"
 ART_DIR="serve_smoke_artifacts"
@@ -39,6 +40,9 @@ rm -rf "$ART_DIR"
 mkdir -p "$ART_DIR"
 WORKLOAD="$ART_DIR/workload.csv"
 PORT_FILE="$ART_DIR/port"
+# shellcheck source=scripts/lib_serve.sh
+source "$(dirname "$0")/lib_serve.sh"
+trap serve_kill EXIT
 
 "$MC3" generate --dataset synthetic --n 40 --seed 3 -o "$WORKLOAD"
 
@@ -50,41 +54,14 @@ run_pass() {
   shift
   local report="$ART_DIR/load_report_$pass.json"
   local server_log="$ART_DIR/server_$pass.log"
-  rm -f "$PORT_FILE"
-
-  "$MC3" serve "$WORKLOAD" --listen 0 --port-file "$PORT_FILE" \
-    --default-cost 2 "$@" >"$server_log" 2>&1 &
-  SERVER_PID=$!
-
-  # Ephemeral-port handshake: the server writes its bound port once
-  # listening.
-  for _ in $(seq 1 100); do
-    [ -s "$PORT_FILE" ] && break
-    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-      echo "serve_smoke: $pass server exited before listening" >&2
-      cat "$server_log" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
-  if [ ! -s "$PORT_FILE" ]; then
-    echo "serve_smoke: timed out waiting for the $pass port file" >&2
-    kill "$SERVER_PID" 2>/dev/null || true
-    cat "$server_log" >&2
-    exit 1
-  fi
+  serve_start "$server_log" "$pass server" "$@"
 
   # The loadgen exits non-zero on lost requests, on an invalid report, or
   # when no coalesced batch reached size 2; --shutdown drains the server.
   # shellcheck disable=SC2086  # LOADGEN_EXTRA is intentionally word-split
   "$LOADGEN" --quick --port-file "$PORT_FILE" --shutdown \
     --report "$report" --min-coalesced-batch 2 ${LOADGEN_EXTRA:-}
-
-  if ! wait "$SERVER_PID"; then
-    echo "serve_smoke: $pass server exited non-zero after drain" >&2
-    cat "$server_log" >&2
-    exit 1
-  fi
+  serve_wait "$server_log" "$pass server"
 
   grep -q '"schema": "mc3.load_report/1"' "$report"
   grep -q '^drained:' "$server_log"

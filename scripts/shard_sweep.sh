@@ -42,6 +42,7 @@ while [ $# -gt 0 ]; do
   esac
 done
 
+SERVE_TAG="shard_sweep"
 MC3="$BUILD_DIR/tools/mc3"
 LOADGEN="$BUILD_DIR/tools/mc3_loadgen"
 ART_DIR="shard_sweep_artifacts"
@@ -57,33 +58,19 @@ rm -rf "$ART_DIR"
 mkdir -p "$ART_DIR"
 WORKLOAD="$ART_DIR/workload.csv"
 PORT_FILE="$ART_DIR/port"
+# shellcheck source=scripts/lib_serve.sh
+source "$(dirname "$0")/lib_serve.sh"
+trap serve_kill EXIT
 
 "$MC3" generate --dataset synthetic --n 40 --seed 3 -o "$WORKLOAD"
 
-SERVER_PID=""
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
-}
-trap cleanup EXIT
-
-# Runs one shard count; prints "<shards> <ops_per_sec>" on stdout.
+# Runs one shard count; appends "<shards> <ops_per_sec>" to RESULTS.
+RESULTS=""
 run_point() {
   local shards="$1"
   local log="$ART_DIR/server_${shards}.log"
   local out="$ART_DIR/loadgen_${shards}.log"
-  rm -f "$PORT_FILE"
-  "$MC3" serve "$WORKLOAD" --listen 0 --port-file "$PORT_FILE" \
-    --default-cost 2 --shards "$shards" >"$log" 2>&1 &
-  SERVER_PID=$!
-  for _ in $(seq 1 100); do
-    [ -s "$PORT_FILE" ] && break
-    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-      echo "shard_sweep: server (--shards $shards) exited before listening" >&2
-      cat "$log" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
+  serve_start "$log" "server (--shards $shards)" --shards "$shards"
 
   # Churn-heavy mix: all-update traffic (no interleaved solves), removes on
   # every third update, a saturating arrival rate so throughput is
@@ -97,12 +84,7 @@ run_point() {
     --tenants 16 --properties 12 --query-length 4 \
     --shutdown --report "$ART_DIR/load_report_${shards}.json" \
     >"$out" 2>&1
-  if ! wait "$SERVER_PID"; then
-    echo "shard_sweep: server (--shards $shards) exited non-zero" >&2
-    cat "$log" >&2
-    exit 1
-  fi
-  SERVER_PID=""
+  serve_wait "$log" "server (--shards $shards)"
 
   local line
   line=$(grep '^sweep: ' "$out" | tail -1)
@@ -111,15 +93,15 @@ run_point() {
     cat "$out" >&2
     exit 1
   fi
-  echo "$shards $(echo "$line" | sed -n 's/.*ops_per_sec=\([0-9.]*\).*/\1/p')"
+  local ops_per_sec
+  ops_per_sec=$(echo "$line" | sed -n 's/.*ops_per_sec=\([0-9.]*\).*/\1/p')
+  RESULTS="$RESULTS$shards $ops_per_sec"$'\n'
+  echo "  shards=$shards  ops_per_sec=$ops_per_sec"
 }
 
 echo "shard_sweep: committed update throughput (ops/sec) by shard count"
-RESULTS=""
 for shards in $SHARDS; do
-  POINT=$(run_point "$shards")
-  RESULTS="$RESULTS$POINT"$'\n'
-  echo "  shards=${POINT% *}  ops_per_sec=${POINT#* }"
+  run_point "$shards"
 done
 
 BASE=$(echo "$RESULTS" | awk '$1 == 1 {print $2}')

@@ -1,7 +1,10 @@
 #include "durability/durability.h"
 
 #include <chrono>
+#include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "data/query_log.h"
 #include "durability/snapshot.h"
@@ -112,14 +115,19 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
 
   auto scan = ReadWal(options_.data_dir, stats.snapshot_seq);
   if (!scan.ok()) return scan.status();
+  // One name table and index for the whole replay: each record moves the
+  // table through the parser and pays only for the names it interns.
+  std::vector<std::string> names = engine->property_names();
+  std::unordered_map<std::string, PropertyId> name_ids;
   for (const WalRecord& record : scan->records) {
     auto trace = online::ParseUpdateTrace(SplitLines(record.payload),
-                                          engine->property_names());
+                                          std::move(names), &name_ids);
     if (!trace.ok()) {
       return Status::IOError("WAL record " + std::to_string(record.seq) +
                              ": " + trace.status().message());
     }
-    engine->ExtendPropertyNames(trace->property_names);
+    names = std::move(trace->property_names);
+    engine->ExtendPropertyNames(names);
     std::vector<PropertySet> add;
     std::vector<PropertySet> remove;
     for (online::TraceOp& op : trace->ops) {

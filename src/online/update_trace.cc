@@ -47,13 +47,18 @@ Status LineError(size_t ln, const std::string& detail) {
 
 }  // namespace
 
-Result<UpdateTrace> ParseUpdateTrace(const std::vector<std::string>& lines,
-                                     std::vector<std::string> base_names) {
+Result<UpdateTrace> ParseUpdateTrace(
+    const std::vector<std::string>& lines, std::vector<std::string> base_names,
+    std::unordered_map<std::string, PropertyId>* name_ids) {
   UpdateTrace trace;
   trace.property_names = std::move(base_names);
-  std::unordered_map<std::string, PropertyId> interned;
-  for (PropertyId id = 0; id < trace.property_names.size(); ++id) {
-    interned.emplace(trace.property_names[id], id);
+  std::unordered_map<std::string, PropertyId> local_ids;
+  std::unordered_map<std::string, PropertyId>& interned =
+      name_ids != nullptr ? *name_ids : local_ids;
+  if (interned.empty()) {
+    for (PropertyId id = 0; id < trace.property_names.size(); ++id) {
+      interned.emplace(trace.property_names[id], id);
+    }
   }
 
   for (size_t ln = 0; ln < lines.size(); ++ln) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/property_set.h"
@@ -51,8 +52,16 @@ struct UpdateTrace {
 /// marker, on a stray '+'/'-' marker after the first token (almost always
 /// two operations joined on one line), and on property names containing
 /// control characters.
-Result<UpdateTrace> ParseUpdateTrace(const std::vector<std::string>& lines,
-                                     std::vector<std::string> base_names);
+///
+/// `name_ids`, when given, is the caller's name -> id index of `base_names`
+/// (empty on the first call: it is then built from `base_names`). Parsing
+/// extends it with every name it interns, so a caller that parses many
+/// traces against one growing table (WAL replay, one record at a time)
+/// moves the table in, takes it back from the result and pays only for new
+/// names, instead of rebuilding the index per call.
+Result<UpdateTrace> ParseUpdateTrace(
+    const std::vector<std::string>& lines, std::vector<std::string> base_names,
+    std::unordered_map<std::string, PropertyId>* name_ids = nullptr);
 
 /// File variant: reads `path` line by line; parse errors are prefixed with
 /// the path.

@@ -69,18 +69,6 @@ void PinThreadToCore(std::thread* thread, size_t index) {
 
 }  // namespace
 
-bool ParseReadPath(const std::string& text, ServerOptions::ReadPath* path) {
-  if (text == "lockfree") {
-    *path = ServerOptions::ReadPath::kLockFree;
-    return true;
-  }
-  if (text == "queued") {
-    *path = ServerOptions::ReadPath::kQueued;
-    return true;
-  }
-  return false;
-}
-
 bool ParseShards(const std::string& text, uint32_t* shards) {
   if (text.empty()) return false;
   uint64_t value = 0;
@@ -229,11 +217,11 @@ Status Server::Start(const Instance& base) {
 
   pool_ = std::make_unique<WorkerPool>(
       std::max<size_t>(1, options_.connection_workers));
-  // Shard workers before engine workers: the engine workers dispatch apply
-  // jobs to the shard queues and must never find them missing. With 0
-  // engine workers (embedding mode) batches apply serially inline, so no
-  // shard threads are needed.
-  if (engine_.num_shards() > 1 && options_.engine_workers > 0) {
+  // Shard workers before the engine worker: it dispatches apply jobs to the
+  // shard queues and must never find them missing. Without an engine worker
+  // (the test seam) batches apply serially inline, so no shard threads are
+  // needed.
+  if (engine_.num_shards() > 1 && options_.start_engine_worker) {
     const uint32_t num_shards = engine_.num_shards();
     shard_queues_.reserve(num_shards);
     for (uint32_t s = 0; s < num_shards; ++s) {
@@ -247,8 +235,8 @@ Status Server::Start(const Instance& base) {
       if (options_.pin_cores) PinThreadToCore(&shard_threads_.back(), s);
     }
   }
-  for (size_t w = 0; w < options_.engine_workers; ++w) {
-    engine_threads_.emplace_back([this] { EngineWorkerLoop(); });
+  if (options_.start_engine_worker) {
+    engine_thread_ = std::thread([this] { EngineWorkerLoop(); });
   }
   acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -278,11 +266,12 @@ void Server::Join() {
   }
   if (stopped_.exchange(true)) return;
   if (acceptor_.joinable()) acceptor_.join();
-  if (options_.engine_workers == 0) ProcessQueuedNow();
-  for (std::thread& worker : engine_threads_) {
-    if (worker.joinable()) worker.join();
+  if (engine_thread_.joinable()) {
+    engine_thread_.join();
+  } else {
+    ProcessQueuedNow();
   }
-  // Engine workers (the only producers of shard jobs) are gone: the shard
+  // The engine worker (the only producer of shard jobs) is gone: the shard
   // queues can close and their workers drain out.
   for (const auto& shard_queue : shard_queues_) shard_queue->Close();
   for (std::thread& worker : shard_threads_) {
@@ -303,7 +292,7 @@ void Server::Join() {
     if (fd >= 0) ::close(fd);
     fd = -1;
   }
-  // Engine workers are gone: nothing appends anymore. Make the tail durable
+  // The engine worker is gone: nothing appends anymore. Make the tail durable
   // and release the data directory. The lock is uncontended (every worker
   // is joined) but the analysis wants it for the guarded sinks.
   util::MutexLock lock(engine_mu_);
@@ -438,21 +427,18 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
       break;
   }
 
-  // Engine ops pass admission control and enter the bounded queue.
   if (draining_.load(std::memory_order_acquire)) {
     refused_draining_.fetch_add(1, std::memory_order_relaxed);
     WriteResponse(conn, RenderErrorResponse(request.id, request.op, 503,
                                             "server is draining"));
     return;
   }
-  // Read-only verbs never queue on the lock-free path: they render from
-  // the epoch-protected published views right here, on the connection
-  // worker thread — no admission control, no engine mutex, no 429s
-  // (docs/serving.md#lock-free-reads). `--read-path queued` falls through
-  // to the legacy queue route below.
-  if ((request.op == Request::Op::kSolve ||
-       request.op == Request::Op::kSnapshot) &&
-      options_.read_path == ServerOptions::ReadPath::kLockFree) {
+  // Read-only verbs never queue: they render from the epoch-protected
+  // published views right here, on the connection worker thread — no
+  // admission control, no engine mutex, no 429s
+  // (docs/serving.md#lock-free-reads).
+  if (request.op == Request::Op::kSolve ||
+      request.op == Request::Op::kSnapshot) {
     if (trace.sampled) {
       telemetry_.Span("parse", parse_start_us, trace.trace_id);
     }
@@ -460,6 +446,7 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
                        reader);
     return;
   }
+  // Mutations pass admission control and enter the bounded queue.
   const size_t depth = queue_.Depth();
   const Admission admission =
       AdmitAt(depth, options_.admission_watermark, options_.base_retry_ms);
@@ -588,7 +575,7 @@ Result<online::UpdateStats> Server::ApplyEngineUpdate(
           };
           size_t shard_depth = 0;
           if (!shard_queues_[s]->TryPush(wrapped, &shard_depth)) {
-            // Closed or full (neither can happen while engine workers are
+            // Closed or full (neither can happen while the engine worker is
             // live, but a lost job would deadlock the batch): run inline.
             wrapped();
           }
@@ -652,7 +639,8 @@ bool Server::ProcessNext(bool drain_only) {
     std::vector<PendingRequest> batch;
     batch.push_back(std::move(*first));
     // Coalesce the maximal run of consecutive updates at the head; stopping
-    // at the first non-update preserves FIFO between reads and writes.
+    // at the first checkpoint keeps it after exactly the updates queued
+    // before it.
     while (batch.size() < options_.max_batch) {
       std::optional<PendingRequest> next =
           queue_.TryPopIf([](const PendingRequest& pending) {
@@ -662,12 +650,8 @@ bool Server::ProcessNext(bool drain_only) {
       batch.push_back(std::move(*next));
     }
     HandleUpdateBatch(std::move(batch));
-  } else if (first->request.op == Request::Op::kSolve) {
-    HandleSolve(*first);
-  } else if (first->request.op == Request::Op::kCheckpoint) {
-    HandleCheckpoint(*first);
   } else {
-    HandleSnapshot(*first);
+    HandleCheckpoint(*first);
   }
   return true;
 }
@@ -925,89 +909,6 @@ void Server::FinishTracedResponse(const PendingRequest& pending,
   ObserveLatency(pending.request, pending.enqueued.Seconds());
 }
 
-void Server::HandleSolve(const PendingRequest& pending) {
-  RecordStageSeconds("queue_wait", Request::Op::kSolve,
-                     pending.enqueued.Seconds());
-  if (pending.sampled) {
-    telemetry_.Span("queue_wait", pending.queued_us, pending.trace_id);
-  }
-  obs::JsonWriter writer(/*compact=*/true);
-  {
-    util::MutexLock lock(engine_mu_);
-    writer.BeginObject();
-    writer.Key("id").Int(pending.request.id);
-    writer.Key("op").String("solve");
-    writer.Key("code").Int(200);
-    if (pending.trace_id != 0) {
-      writer.Key("trace_id").Int(pending.trace_id);
-    }
-    writer.Key("cost").Number(engine_.TotalCost());
-    writer.Key("queries").Int(engine_.NumQueries());
-    writer.Key("components").Int(engine_.NumComponents());
-    const Solution solution = engine_.CurrentSolution();
-    writer.Key("classifiers").Int(solution.size());
-    if (pending.request.include_solution) {
-      writer.Key("solution").BeginArray();
-      for (const PropertySet& classifier : solution.Sorted()) {
-        writer.BeginArray();
-        for (const PropertyId id : classifier) {
-          writer.String(id < names_.size() ? names_[id]
-                                           : std::to_string(id));
-        }
-        writer.EndArray();
-      }
-      writer.EndArray();
-    }
-    writer.EndObject();
-  }
-  FinishTracedResponse(pending, writer.Take());
-}
-
-void Server::HandleSnapshot(const PendingRequest& pending) {
-  RecordStageSeconds("queue_wait", Request::Op::kSnapshot,
-                     pending.enqueued.Seconds());
-  if (pending.sampled) {
-    telemetry_.Span("queue_wait", pending.queued_us, pending.trace_id);
-  }
-  obs::JsonWriter writer(/*compact=*/true);
-  {
-    util::MutexLock lock(engine_mu_);
-    writer.BeginObject();
-    writer.Key("id").Int(pending.request.id);
-    writer.Key("op").String("snapshot");
-    writer.Key("code").Int(200);
-    if (pending.trace_id != 0) {
-      writer.Key("trace_id").Int(pending.trace_id);
-    }
-    writer.Key("cost").Number(engine_.TotalCost());
-    writer.Key("queries").Int(engine_.NumQueries());
-    writer.Key("components").Int(engine_.NumComponents());
-    const Solution solution = engine_.CurrentSolution();
-    writer.Key("classifiers").BeginArray();
-    for (const PropertySet& classifier : solution.Sorted()) {
-      writer.BeginObject();
-      writer.Key("properties").BeginArray();
-      for (const PropertyId id : classifier) {
-        writer.String(id < names_.size() ? names_[id] : std::to_string(id));
-      }
-      writer.EndArray();
-      writer.Key("cost").Number(engine_.CostOf(classifier));
-      writer.EndObject();
-    }
-    writer.EndArray();
-    const online::EngineCounters& counters = engine_.counters();
-    writer.Key("counters").BeginObject();
-    writer.Key("updates").Int(counters.updates);
-    writer.Key("queries_added").Int(counters.queries_added);
-    writer.Key("queries_removed").Int(counters.queries_removed);
-    writer.Key("components_resolved").Int(counters.components_resolved);
-    writer.Key("queries_touched").Int(counters.queries_touched);
-    writer.EndObject();
-    writer.EndObject();
-  }
-  FinishTracedResponse(pending, writer.Take());
-}
-
 void Server::HandleCheckpoint(const PendingRequest& pending) {
   RecordStageSeconds("queue_wait", Request::Op::kCheckpoint,
                      pending.enqueued.Seconds());
@@ -1149,10 +1050,9 @@ void Server::HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
 std::string Server::RenderSolveFromIndex(const Request& request,
                                          uint64_t trace_id,
                                          const ReadIndex& index) {
-  // Field-for-field identical to HandleSolve's render at the same state:
-  // sums run in shard order (ShardedEngine::TotalCost). A plain solve reads
-  // only the views' counts, O(shards); the solution list is merged
-  // canonically (online::MergeViewClassifiers) only when asked for.
+  // Sums run in shard order, matching ShardedEngine::TotalCost. A plain
+  // solve reads only the views' counts, O(shards); the solution list is
+  // merged canonically (online::MergeViewClassifiers) only when asked for.
   obs::JsonWriter writer(/*compact=*/true);
   writer.BeginObject();
   writer.Key("id").Int(request.id);
@@ -1192,9 +1092,8 @@ std::string Server::RenderSolveFromIndex(const Request& request,
 std::string Server::RenderSnapshotFromIndex(const Request& request,
                                             uint64_t trace_id,
                                             const ReadIndex& index) {
-  // Field-for-field identical to HandleSnapshot's render at the same
-  // state; classifier prices were captured at publish time from the
-  // replicated cost table, matching ShardedEngine::CostOf.
+  // Classifier prices were captured at publish time from the replicated
+  // cost table, matching ShardedEngine::CostOf.
   obs::JsonWriter writer(/*compact=*/true);
   writer.BeginObject();
   writer.Key("id").Int(request.id);
@@ -1498,12 +1397,6 @@ ServerStats Server::GetStats() const {
         shard_counters_[s].queue_depth_max.load(std::memory_order_relaxed);
   }
   return stats;
-}
-
-void Server::WithEngine(
-    const std::function<void(const online::OnlineEngine&)>& fn) {
-  util::MutexLock lock(engine_mu_);
-  fn(engine_.shard(0));
 }
 
 void Server::WithShardedEngine(

@@ -1,22 +1,26 @@
 // Long-lived TCP serving front-end for the incremental engine: a
 // newline-delimited-JSON listener (src/server/protocol.h) whose accepted
-// connections are handled by a fixed WorkerPool, feeding engine operations
-// through a BoundedQueue into dedicated engine workers that coalesce
-// concurrent updates into single OnlineEngine churn steps.
+// connections are handled by a fixed WorkerPool, feeding mutations through a
+// BoundedQueue into one engine worker that coalesces concurrent updates into
+// single churn steps, while reads render from published views.
 //
 // Threading model (docs/serving.md):
 //   * acceptor thread    — accept() loop; posts one connection task per
 //                          socket to the worker pool (pool size bounds
 //                          concurrent connections);
 //   * connection tasks   — blocking line reads; health/stats/shutdown are
-//                          answered inline, engine ops (solve, update,
-//                          snapshot) pass admission control and enter the
-//                          bounded queue;
-//   * engine workers     — block on the queue; an update at the head is
-//                          coalesced with the maximal run of consecutive
-//                          queued updates (never reordering reads past
-//                          writes) and applied as ONE ApplyUpdate; all
-//                          engine access is serialized by a mutex;
+//                          answered inline, and so are the read-only verbs
+//                          (solve, snapshot): they render lock-free from the
+//                          published per-shard views (docs/serving.md#lock-
+//                          free-reads). Mutations (update, checkpoint) pass
+//                          admission control and enter the bounded queue;
+//   * engine worker      — one thread blocks on the queue; an update at the
+//                          head is coalesced with the maximal run of
+//                          consecutive queued updates (never reordering them
+//                          past a checkpoint) and applied as ONE
+//                          ApplyUpdate; all engine access is serialized by a
+//                          mutex, and every applied batch republishes the
+//                          read views before its acks are written;
 //   * shard workers      — with --shards N > 1 the engine is a
 //                          ShardedEngine and each shard gets a dedicated
 //                          worker thread (optionally core-pinned) behind a
@@ -24,12 +28,12 @@
 //                          coalesced batch, dispatches the per-shard apply
 //                          jobs to those queues and blocks until all shards
 //                          committed, then acks every folded request. Reads
-//                          merge per-shard results in canonical order, so
+//                          merge per-shard views in canonical order, so
 //                          responses are byte-identical to --shards 1
 //                          (docs/serving.md#sharded-serving).
 //
 // Admission control: the queue has a hard capacity and a reject watermark;
-// at or above the watermark new engine ops are answered 429 with a
+// at or above the watermark new mutations are answered 429 with a
 // retry_after_ms hint instead of queueing (bounded latency beats unbounded
 // buffering). Graceful drain (shutdown request or SIGTERM in the CLI):
 // stop accepting, answer new engine ops 503, finish everything queued,
@@ -93,9 +97,11 @@ struct ServerOptions {
 
   /// Engine ops coalesced into one churn step at most.
   size_t max_batch = 256;
-  /// Engine worker threads (1 = strictly FIFO). 0 is an embedding/test
-  /// mode: nothing drains the queue until ProcessQueuedNow() is called.
-  size_t engine_workers = 1;
+  /// Test seam. The server always runs exactly one engine worker, which
+  /// keeps a connection's pipelined updates in order. false starts none:
+  /// nothing drains the queue until ProcessQueuedNow() is called, so a test
+  /// controls queue depth and batch boundaries.
+  bool start_engine_worker = true;
   /// Connection-handling pool size = max concurrent connections.
   size_t connection_workers = 16;
 
@@ -134,22 +140,7 @@ struct ServerOptions {
   /// Where the trace-event JSON lands on shutdown (`--trace-out DIR`);
   /// see trace_file_path(). Empty = collected but never written.
   std::string trace_out_dir;
-
-  /// Which path answers the read-only engine verbs (`solve`, `snapshot`).
-  /// kLockFree (the default) renders them on the connection worker thread
-  /// from epoch-protected published views — no queue, no engine mutex, flat
-  /// read latency under write churn (docs/serving.md#lock-free-reads).
-  /// kQueued (`mc3 serve --read-path queued`) keeps the legacy behavior of
-  /// riding the engine-op queue, as an A/B baseline and rollback switch.
-  /// Mutations always queue; responses are byte-identical on both paths.
-  enum class ReadPath { kLockFree, kQueued };
-  ReadPath read_path = ReadPath::kLockFree;
 };
-
-/// Parses a `--read-path` value: "lockfree" or "queued". Returns false
-/// (leaving `*path` untouched) on anything else — the CLI turns that into a
-/// usage error.
-bool ParseReadPath(const std::string& text, ServerOptions::ReadPath* path);
 
 /// Per-shard serving statistics (stats endpoint `shards` array).
 struct ShardStats {
@@ -186,7 +177,7 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Initializes the engine with `base` (its cost table and queries), then
-  /// binds, listens and starts the acceptor, pool and engine workers.
+  /// binds, listens and starts the acceptor, pool and engine worker.
   Status Start(const Instance& base);
 
   /// The bound TCP port (valid after Start).
@@ -208,17 +199,13 @@ class Server {
   size_t QueueDepth() const { return queue_.Depth(); }
 
   /// Synchronously drains everything currently queued on the caller's
-  /// thread. Only meaningful with engine_workers == 0 (embedding/test
-  /// mode); with live workers it merely competes with them.
+  /// thread. Only meaningful with start_engine_worker == false (the test
+  /// seam); with the live worker it merely competes with it.
   void ProcessQueuedNow();
 
-  /// Read access to shard 0's engine for equivalence checks in tests; takes
-  /// the engine mutex. `fn` must not re-enter the server. With --shards 1
-  /// (the default) shard 0 IS the whole engine; sharded deployments see one
-  /// shard's slice — use WithShardedEngine for the merged view.
-  void WithEngine(const std::function<void(const online::OnlineEngine&)>& fn);
-
-  /// Read access to the full (possibly sharded) engine; same contract.
+  /// Read access to the full (possibly sharded) engine for equivalence
+  /// checks in tests; takes the engine mutex. `fn` must not re-enter the
+  /// server.
   void WithShardedEngine(
       const std::function<void(const online::ShardedEngine&)>& fn);
 
@@ -282,9 +269,9 @@ class Server {
                   const std::string& line,
                   concurrency::ReaderRegistration& reader);
   void EngineWorkerLoop();
-  /// Pops one item (blocking unless `drain_only`), coalesces consecutive
-  /// updates behind it, executes, responds. Returns false when the queue is
-  /// closed and empty.
+  /// Pops one mutation (blocking unless `drain_only`), coalesces the
+  /// consecutive updates behind it, executes, responds. Returns false when
+  /// the queue is closed and empty.
   bool ProcessNext(bool drain_only);
 
   /// Applies one net batch through the engine, dispatching per-shard jobs
@@ -307,8 +294,6 @@ class Server {
   /// request is sampled) and the endpoint latency.
   void FinishTracedResponse(const PendingRequest& pending,
                             const std::string& response);
-  void HandleSolve(const PendingRequest& pending);
-  void HandleSnapshot(const PendingRequest& pending);
   void HandleCheckpoint(const PendingRequest& pending);
 
   /// Rebuilds and publishes the per-shard views flagged in `touched` (an
@@ -319,9 +304,8 @@ class Server {
   /// also reads its write (docs/serving.md#lock-free-reads).
   void PublishReadViews(const std::vector<bool>& touched)
       MC3_REQUIRES(engine_mu_);
-  /// Lock-free `solve`/`snapshot`: pins an epoch, loads the index once and
-  /// renders on the connection worker thread — byte-identical to the queued
-  /// renderers at every published state.
+  /// `solve`/`snapshot`: pins an epoch, loads the index once and renders on
+  /// the connection worker thread, without the queue or the engine mutex.
   void HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
                           const Request& request, uint64_t trace_id,
                           bool sampled, const Timer& latency,
@@ -381,7 +365,7 @@ class Server {
   // mc3-lint: guard-ok(launched in Start, joined only by Join)
   std::thread acceptor_;
   // mc3-lint: guard-ok(launched in Start, joined only by Join)
-  std::vector<std::thread> engine_threads_;
+  std::thread engine_thread_;
 
   util::Mutex engine_mu_;
   online::ShardedEngine engine_ MC3_GUARDED_BY(engine_mu_);
@@ -405,7 +389,7 @@ class Server {
   std::shared_ptr<const std::vector<std::string>> published_names_
       MC3_GUARDED_BY(engine_mu_);
 
-  /// Shard workers (only with shards > 1 and live engine workers): one
+  /// Shard workers (only with shards > 1 and a live engine worker): one
   /// small job queue + thread per shard. Counters are Server-level atomics
   /// so the inline stats path never touches engine_mu_.
   struct ShardCounters {

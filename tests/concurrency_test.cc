@@ -3,8 +3,9 @@
 // retire ordering, grace periods, the starvation bound) including a
 // TSan-targeted 8-reader/2-writer stress, plus server-level coverage of the
 // serving integration — read-your-writes, the stats version-vector
-// consistency contract, health/reads during drain, the queued fallback
-// path answering byte-identically, and the linearizable-prefix property:
+// consistency contract, health/reads during drain, lock-free responses
+// byte-identical to a reference render from the engine itself, and the
+// linearizable-prefix property:
 // every solve observed mid-churn equals the state after some prefix of the
 // acknowledged updates.
 #include <arpa/inet.h>
@@ -26,6 +27,7 @@
 #include "concurrency/versioned_publisher.h"
 #include "core/instance.h"
 #include "obs/json.h"
+#include "online/sharded_engine.h"
 #include "util/sync.h"
 
 #include "server/server.h"
@@ -349,15 +351,63 @@ ServerOptions TestOptions() {
   return options;
 }
 
-TEST(ConcurrencyReadPathFlagTest, ParsesBothModesRejectsGarbage) {
-  ServerOptions::ReadPath path = ServerOptions::ReadPath::kQueued;
-  EXPECT_TRUE(ParseReadPath("lockfree", &path));
-  EXPECT_EQ(path, ServerOptions::ReadPath::kLockFree);
-  EXPECT_TRUE(ParseReadPath("queued", &path));
-  EXPECT_EQ(path, ServerOptions::ReadPath::kQueued);
-  EXPECT_FALSE(ParseReadPath("", &path));
-  EXPECT_FALSE(ParseReadPath("LockFree", &path));
-  EXPECT_FALSE(ParseReadPath("inline", &path));
+/// Reference render of a `solve` or `snapshot` response, computed from the
+/// engine itself under its mutex rather than from the published views:
+/// TotalCost/NumQueries/NumComponents, the merged CurrentSolution in
+/// canonical order with CostOf, and the facade counters.
+std::string OracleReadResponse(Server& server, const std::string& op,
+                               uint64_t id, bool include_solution) {
+  std::string response;
+  server.WithShardedEngine([&](const online::ShardedEngine& engine) {
+    const std::vector<std::string>& names = engine.property_names();
+    obs::JsonWriter writer(/*compact=*/true);
+    const auto write_names = [&](const PropertySet& classifier) {
+      writer.BeginArray();
+      for (const PropertyId pid : classifier) {
+        writer.String(pid < names.size() ? names[pid] : std::to_string(pid));
+      }
+      writer.EndArray();
+    };
+    writer.BeginObject();
+    writer.Key("id").Int(id);
+    writer.Key("op").String(op);
+    writer.Key("code").Int(200);
+    writer.Key("cost").Number(engine.TotalCost());
+    writer.Key("queries").Int(engine.NumQueries());
+    writer.Key("components").Int(engine.NumComponents());
+    const Solution solution = engine.CurrentSolution();
+    if (op == "solve") {
+      writer.Key("classifiers").Int(solution.size());
+      if (include_solution) {
+        writer.Key("solution").BeginArray();
+        for (const PropertySet& classifier : solution.Sorted()) {
+          write_names(classifier);
+        }
+        writer.EndArray();
+      }
+    } else {
+      writer.Key("classifiers").BeginArray();
+      for (const PropertySet& classifier : solution.Sorted()) {
+        writer.BeginObject();
+        writer.Key("properties");
+        write_names(classifier);
+        writer.Key("cost").Number(engine.CostOf(classifier));
+        writer.EndObject();
+      }
+      writer.EndArray();
+      const online::EngineCounters counters = engine.counters();
+      writer.Key("counters").BeginObject();
+      writer.Key("updates").Int(counters.updates);
+      writer.Key("queries_added").Int(counters.queries_added);
+      writer.Key("queries_removed").Int(counters.queries_removed);
+      writer.Key("components_resolved").Int(counters.components_resolved);
+      writer.Key("queries_touched").Int(counters.queries_touched);
+      writer.EndObject();
+    }
+    writer.EndObject();
+    response = writer.Take();
+  });
+  return response;
 }
 
 TEST(ConcurrencyLockFreeReadTest, ReadYourWritesAfterEveryAck) {
@@ -381,42 +431,48 @@ TEST(ConcurrencyLockFreeReadTest, ReadYourWritesAfterEveryAck) {
   server.Join();
 }
 
-TEST(ConcurrencyLockFreeReadTest, QueuedFallbackAnswersByteIdentically) {
-  // `--read-path queued` must stay a drop-in fallback: the same request
-  // sequence against lockfree and queued servers produces byte-identical
-  // solve/snapshot responses, sharded or not.
-  for (const uint32_t shards : {uint32_t{0}, uint32_t{2}}) {
-    ServerOptions lockfree_options = TestOptions();
-    lockfree_options.shards = shards;
-    ASSERT_EQ(lockfree_options.read_path, ServerOptions::ReadPath::kLockFree);
-    ServerOptions queued_options = lockfree_options;
-    queued_options.read_path = ServerOptions::ReadPath::kQueued;
-    Server lockfree_server(lockfree_options);
-    Server queued_server(queued_options);
-    ASSERT_TRUE(lockfree_server.Start(BaseInstance()).ok());
-    ASSERT_TRUE(queued_server.Start(BaseInstance()).ok());
-    TestClient lockfree_client(lockfree_server.port());
-    TestClient queued_client(queued_server.port());
-    ASSERT_TRUE(lockfree_client.connected());
-    ASSERT_TRUE(queued_client.connected());
-
-    const std::vector<std::string> script = {
-        R"({"op":"solve","id":1,"solution":true})",
-        R"({"op":"update","id":2,"add":[["blue","sofa"],["green"]]})",
-        R"({"op":"solve","id":3,"solution":true})",
-        R"({"op":"snapshot","id":4})",
-        R"({"op":"update","id":5,"remove":[["blue","sofa"]],"add":[["lamp"]]})",
-        R"({"op":"snapshot","id":6})",
-        R"({"op":"solve","id":7})",
-    };
-    for (const std::string& line : script) {
-      EXPECT_EQ(lockfree_client.CallRaw(line), queued_client.CallRaw(line))
-          << "shards=" << shards << " line=" << line;
+TEST(ConcurrencyLockFreeReadTest, ResponsesMatchEngineOracle) {
+  // Every solve (with and without the solution list) and snapshot rendered
+  // from the published views is byte-identical to the reference render
+  // from the engine at the same quiescent state, sharded or not.
+  struct Step {
+    std::string line;
+    std::string read_op;  ///< "" for an update
+    uint64_t id;
+    bool include_solution;
+  };
+  const std::vector<Step> script = {
+      {R"({"op":"solve","id":1,"solution":true})", "solve", 1, true},
+      {R"({"op":"update","id":2,"add":[["blue","sofa"],["green"]]})", "", 2,
+       false},
+      {R"({"op":"solve","id":3,"solution":true})", "solve", 3, true},
+      {R"({"op":"snapshot","id":4})", "snapshot", 4, false},
+      {R"({"op":"update","id":5,"remove":[["blue","sofa"]],"add":[["lamp"]]})",
+       "", 5, false},
+      {R"({"op":"snapshot","id":6})", "snapshot", 6, false},
+      {R"({"op":"solve","id":7})", "solve", 7, false},
+  };
+  for (const uint32_t shards : {uint32_t{1}, uint32_t{2}}) {
+    ServerOptions options = TestOptions();
+    options.shards = shards;
+    Server server(options);
+    ASSERT_TRUE(server.Start(BaseInstance()).ok());
+    TestClient client(server.port());
+    ASSERT_TRUE(client.connected());
+    for (const Step& step : script) {
+      const std::string response = client.CallRaw(step.line);
+      if (step.read_op.empty()) {
+        auto ack = obs::ParseJson(response);
+        ASSERT_TRUE(ack.ok()) << response;
+        ASSERT_EQ(CodeOf(*ack), 200) << response;
+        continue;
+      }
+      EXPECT_EQ(response, OracleReadResponse(server, step.read_op, step.id,
+                                             step.include_solution))
+          << "shards=" << shards << " line=" << step.line;
     }
-    lockfree_server.RequestDrain();
-    queued_server.RequestDrain();
-    lockfree_server.Join();
-    queued_server.Join();
+    server.RequestDrain();
+    server.Join();
   }
 }
 

@@ -7,18 +7,22 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/instance.h"
+#include "data/query_log.h"
 #include "durability/durability.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
 #include "online/online_engine.h"
 #include "online/sharded_engine.h"
+#include "online/update_trace.h"
 #include "tests/test_util.h"
+#include "util/float_cmp.h"
 
 namespace mc3::durability {
 namespace {
@@ -545,6 +549,80 @@ TEST(DurabilityManagerTest, CheckpointPolicyByUpdateCount) {
   ASSERT_TRUE((*manager)->Checkpoint(engine.ExportState()).ok());
   EXPECT_FALSE((*manager)->ShouldCheckpoint());
   ASSERT_TRUE((*manager)->Close().ok());
+}
+
+TEST(DurabilityManagerTest, ReplayInterningNewNamesMatchesOfflineReplay) {
+  // Every record interns names the table has not seen, and the `shared_`
+  // names recur across records: replay keeps one name table and index for
+  // all records, and must still land on the offline replay's names and
+  // state, where each record is parsed on its own against the full table.
+  constexpr int kRecords = 150;
+  constexpr int kShared = 7;
+  constexpr double kDefaultCost = 2;
+  const auto query = [](int i) {
+    return "fresh_" + std::to_string(i) + " shared_" +
+           std::to_string(i % kShared);
+  };
+  std::vector<std::string> payloads;
+  for (int i = 0; i < kRecords; ++i) {
+    std::string payload;
+    if (i % 3 == 2) payload = "- " + query(i - 1) + "\n";
+    payloads.push_back(payload + "+ " + query(i) + "\n");
+  }
+  ScratchDir dir("mgr_names");
+  {
+    auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    OnlineEngine engine;
+    ASSERT_TRUE(
+        (*manager)->Recover(PaperExample(), kDefaultCost, &engine).ok());
+    for (const std::string& payload : payloads) {
+      ASSERT_TRUE((*manager)->LogPayload(payload).ok());
+    }
+    ASSERT_TRUE((*manager)->Close().ok());
+  }
+  OnlineEngine recovered;
+  auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  auto recovery = (*manager)->Recover(PaperExample(), kDefaultCost, &recovered);
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  EXPECT_EQ(recovery->wal_records_replayed, size_t{kRecords});
+  ASSERT_TRUE((*manager)->Close().ok());
+
+  OnlineEngine offline;
+  ASSERT_TRUE(offline.Initialize(PaperExample()).ok());
+  for (const std::string& payload : payloads) {
+    std::vector<std::string> lines;
+    std::istringstream in(payload);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    auto trace = online::ParseUpdateTrace(lines, offline.property_names());
+    ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+    offline.ExtendPropertyNames(trace->property_names);
+    std::vector<PropertySet> add;
+    std::vector<PropertySet> remove;
+    for (const online::TraceOp& op : trace->ops) {
+      (op.kind == online::TraceOp::Kind::kAdd ? add : remove)
+          .push_back(op.query);
+    }
+    // Price unknown classifiers the way the server and replay do.
+    Instance pricing;
+    for (const PropertySet& q : add) pricing.AddQuery(q);
+    data::CostEstimatorOptions estimator;
+    estimator.default_difficulty = kDefaultCost;
+    ASSERT_TRUE(data::EstimateCosts(&pricing, estimator).ok());
+    for (const auto& [classifier, cost] : SortedCostEntries(pricing.costs())) {
+      if (!IsInfiniteCost(offline.CostOf(classifier))) continue;
+      ASSERT_TRUE(offline.SetCost(classifier, cost).ok());
+    }
+    ASSERT_TRUE(offline.ApplyUpdate(add, remove).ok());
+  }
+
+  EXPECT_EQ(recovered.property_names().size(),
+            PaperExample().property_names().size() + kRecords + kShared);
+  EXPECT_EQ(recovered.property_names(), offline.property_names());
+  ASSERT_TRUE(recovered.CheckInvariants().ok());
+  EXPECT_EQ(RenderSnapshot(recovered.ExportState(), 0),
+            RenderSnapshot(offline.ExportState(), 0));
 }
 
 // ---------------------------------------------------------------------------

@@ -381,7 +381,7 @@ server::ServerOptions ServerOptionsFor(uint32_t shards,
   options.shards = shards;
   // Nothing drains the queue until ProcessQueuedNow: each round's requests
   // coalesce into one batch.
-  options.engine_workers = 0;
+  options.start_engine_worker = false;
   options.connection_workers = 4;
   // No auto-pricing: an add over an unknown property is infeasible, which
   // fails its coalesced batch and forces the per-request fallback.

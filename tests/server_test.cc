@@ -452,7 +452,8 @@ TEST(ServerTest, UncoverableAddGets400WithoutDefaultCost) {
 
 TEST(ServerTest, AdmissionRejectsAboveWatermarkWithRetryHint) {
   ServerOptions options = TestOptions();
-  options.engine_workers = 0;  // nothing drains the queue: depth is ours
+  // No engine worker: nothing drains the queue, so its depth is ours.
+  options.start_engine_worker = false;
   options.queue_capacity = 8;
   options.admission_watermark = 2;
   Server server(options);
@@ -619,7 +620,7 @@ TEST(ServerTest, ConcurrentClientsMatchOfflineBatchAndNothingDrops) {
   ASSERT_TRUE(reference.ApplyUpdate(add, {}).ok());
   reference.set_property_names(names);
 
-  server.WithEngine([&](const online::OnlineEngine& engine) {
+  server.WithShardedEngine([&](const online::ShardedEngine& engine) {
     EXPECT_TRUE(engine.CheckInvariants().ok());
     EXPECT_EQ(engine.NumQueries(), reference.NumQueries());
     // Per-component costs are computed identically; the cached totals can
@@ -634,7 +635,8 @@ TEST(ServerTest, ConcurrentClientsMatchOfflineBatchAndNothingDrops) {
 
 TEST(ServerTest, CoalescesBurstsIntoFewerBatches) {
   ServerOptions options = TestOptions();
-  options.engine_workers = 0;  // queue everything, then drain at once
+  // No engine worker: queue everything, then drain at once.
+  options.start_engine_worker = false;
   Server server(options);
   ASSERT_TRUE(server.Start(BaseInstance()).ok());
   TestClient client(server.port());
@@ -808,7 +810,7 @@ TEST(ServerDurabilityTest, RestartOnSameDataDirResumesAcknowledgedState) {
   }
 
   int queries_after_restart = -1;
-  server.WithEngine([&](const online::OnlineEngine& engine) {
+  server.WithShardedEngine([&](const online::ShardedEngine& engine) {
     queries_after_restart = static_cast<int>(engine.NumQueries());
     ASSERT_TRUE(engine.CheckInvariants().ok());
     EXPECT_EQ(engine.TotalCost(), reference.TotalCost());

@@ -69,7 +69,8 @@
 //   `solve` and `serve` additionally accept --report <out.json> to export a
 //   mc3.solve_report/1 document (phase trace + metrics snapshot) of the run.
 //
-// Exit codes: 0 success, 1 runtime failure, 2 usage error.
+// Exit codes: 0 success, 1 runtime failure, 2 usage error (an unknown flag
+// is one).
 #include <unistd.h>
 
 #include <algorithm>
@@ -126,7 +127,6 @@ int Usage() {
       "            [--queue-capacity N] [--watermark N] [--max-batch N]\n"
       "            [--workers N] [--solver NAME] [--threads N]\n"
       "            [--shards N] [--pin-cores]\n"
-      "            [--read-path lockfree|queued]\n"
       "            [--default-cost D] [--data-dir DIR]\n"
       "            [--wal-sync grouped|immediate|none] [--wal-group-ms MS]\n"
       "            [--checkpoint-every N] [--checkpoint-interval SECS]\n"
@@ -141,6 +141,42 @@ int Usage() {
       "            [--warmup N] [--filter SUBSTR]\n"
       "(solve and serve also accept --report <out.json>)\n");
   return 2;
+}
+
+/// Every flag some subcommand reads. Any other `--flag` is a usage error, so
+/// a misspelt or retired flag cannot be silently ignored.
+struct FlagSpec {
+  const char* name;
+  bool takes_value;
+};
+constexpr FlagSpec kFlags[] = {
+    {"--after", true},               {"--batch", true},
+    {"--checkpoint-every", true},    {"--checkpoint-interval", true},
+    {"--data-dir", true},            {"--dataset", true},
+    {"--default-cost", true},        {"--exact-components", true},
+    {"--filter", true},              {"--keep-wal-segments", false},
+    {"--listen", true},              {"--max-batch", true},
+    {"--n", true},                   {"--no-preprocess", false},
+    {"--out", true},                 {"--pin-cores", false},
+    {"--plan", false},               {"--port-file", true},
+    {"--queue-capacity", true},      {"--quick", false},
+    {"--record-trace", true},        {"--repeat", true},
+    {"--report", true},              {"--seed", true},
+    {"--shards", true},              {"--solution-out", true},
+    {"--solver", true},              {"--threads", true},
+    {"--trace", true},               {"--trace-out", true},
+    {"--trace-sample", true},        {"--verbose", false},
+    {"--verify-every", true},        {"--wal-group-ms", true},
+    {"--wal-sync", true},            {"--warmup", true},
+    {"--watermark", true},           {"--workers", true},
+    {"-o", true},
+};
+
+const FlagSpec* FindFlag(const std::string& arg) {
+  for (const FlagSpec& flag : kFlags) {
+    if (arg == flag.name) return &flag;
+  }
+  return nullptr;
 }
 
 int Fail(const Status& status) {
@@ -1240,46 +1276,27 @@ int main(int argc, char** argv) {
     }
     return false;
   };
-  auto positional = [&]() -> const std::string* {
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (args[i].rfind("--", 0) == 0) {
-        ++i;  // skip the flag's value
-        continue;
-      }
-      if (i > 0 && args[i - 1].rfind("--", 0) == 0 &&
-          (args[i - 1] == "--solver" || args[i - 1] == "--n" ||
-           args[i - 1] == "--seed" || args[i - 1] == "--dataset" ||
-           args[i - 1] == "--threads" || args[i - 1] == "--exact-components" ||
-           args[i - 1] == "--default-cost" || args[i - 1] == "--out" ||
-           args[i - 1] == "--trace" || args[i - 1] == "--batch" ||
-           args[i - 1] == "--verify-every" || args[i - 1] == "--report" ||
-           args[i - 1] == "--repeat" || args[i - 1] == "--warmup" ||
-           args[i - 1] == "--filter" || args[i - 1] == "--listen" ||
-           args[i - 1] == "--port-file" || args[i - 1] == "--queue-capacity" ||
-           args[i - 1] == "--watermark" || args[i - 1] == "--max-batch" ||
-           args[i - 1] == "--workers" || args[i - 1] == "--shards" ||
-           args[i - 1] == "--read-path" || args[i - 1] == "--data-dir" ||
-           args[i - 1] == "--wal-sync" || args[i - 1] == "--wal-group-ms" ||
-           args[i - 1] == "--checkpoint-every" ||
-           args[i - 1] == "--checkpoint-interval" ||
-           args[i - 1] == "--record-trace" ||
-           args[i - 1] == "--trace-sample" || args[i - 1] == "--trace-out" ||
-           args[i - 1] == "--solution-out" || args[i - 1] == "--after" ||
-           args[i - 1] == "-o")) {
-        continue;
-      }
-      return &args[i];
+  // Rejects unknown flags and finds the first argument that is neither a
+  // flag nor a flag's value.
+  const std::string* positional = nullptr;
+  for (size_t i = 0; i < args.size(); ++i) {
+    if (const FlagSpec* flag = FindFlag(args[i])) {
+      if (flag->takes_value) ++i;
+    } else if (args[i].rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag '%s'\n", args[i].c_str());
+      return Usage();
+    } else if (positional == nullptr) {
+      positional = &args[i];
     }
-    return nullptr;
-  };
+  }
 
   if (command == "stats") {
-    const std::string* path = positional();
+    const std::string* path = positional;
     if (path == nullptr) return Usage();
     return CmdStats(*path);
   }
   if (command == "solve") {
-    const std::string* path = positional();
+    const std::string* path = positional;
     if (path == nullptr) return Usage();
     const std::string* solver = flag_value("--solver");
     SolverOptions options;
@@ -1312,12 +1329,12 @@ int main(int argc, char** argv) {
     return CmdGenerate(*dataset, n, seed, *out);
   }
   if (command == "preprocess") {
-    const std::string* path = positional();
+    const std::string* path = positional;
     if (path == nullptr) return Usage();
     return CmdPreprocess(*path);
   }
   if (command == "serve") {
-    const std::string* path = positional();
+    const std::string* path = positional;
     const std::string* trace = flag_value("--trace");
     const std::string* listen = flag_value("--listen");
     if (path == nullptr || (trace == nullptr && listen == nullptr)) {
@@ -1368,14 +1385,6 @@ int main(int argc, char** argv) {
                        "(at most 1024)\n",
                        v->c_str());
           return Usage();
-        }
-      }
-      if (const std::string* v = flag_value("--read-path")) {
-        if (!server::ParseReadPath(*v, &server_options.read_path)) {
-          std::fprintf(stderr,
-                       "unknown --read-path '%s': need lockfree or queued\n",
-                       v->c_str());
-          return 2;
         }
       }
       server_options.pin_cores = has_flag("--pin-cores");
@@ -1436,7 +1445,7 @@ int main(int argc, char** argv) {
     return CmdServe(*path, *trace, config);
   }
   if (command == "recover") {
-    const std::string* path = positional();
+    const std::string* path = positional;
     const std::string* data_dir = flag_value("--data-dir");
     if (path == nullptr || data_dir == nullptr) return Usage();
     ServeConfig config;
@@ -1464,7 +1473,7 @@ int main(int argc, char** argv) {
     return CmdRecover(*path, config, *data_dir, shards);
   }
   if (command == "wal") {
-    const std::string* verb = positional();
+    const std::string* verb = positional;
     const std::string* data_dir = flag_value("--data-dir");
     if (verb == nullptr || data_dir == nullptr) return Usage();
     if (*verb == "dump") {
@@ -1499,7 +1508,7 @@ int main(int argc, char** argv) {
     return CmdBench(config);
   }
   if (command == "ingest") {
-    const std::string* path = positional();
+    const std::string* path = positional;
     const std::string* out = flag_value("-o");
     if (path == nullptr || out == nullptr) return Usage();
     Cost default_cost = 5;
