@@ -5,7 +5,9 @@
 # "read_sweep:" line:
 #
 #   * idle  — every op is a read (--read-ratio 1.0): the engine never
-#             applies a batch, so this is the read path's own floor;
+#             applies a batch, so this is the read path's own floor. It
+#             runs IDLE_RUNS (3) times and the median read p99 is kept:
+#             one idle run is a noisy denominator;
 #   * churn — the 95/5 read-heavy churn mix (--read-ratio 0.95): updates
 #             arrive fast enough that the coalescer keeps folding batches.
 #
@@ -14,7 +16,7 @@
 # should cost them little over idle.
 #
 # With --gate, the run fails (exit 1) unless the churn read p99 is at most
-# MAX_FACTOR x the idle read p99. The comparison needs real parallel
+# MAX_FACTOR x the median idle read p99. The comparison needs real parallel
 # hardware — with fewer than 4 CPUs the connection workers, the apply
 # thread and the loadgen time-slice one core and queueing delay is noise
 # (see EXPERIMENTS.md) — so on a small host the gate auto-skips (exit 0,
@@ -24,7 +26,8 @@
 # Usage: scripts/read_sweep.sh [build-dir] [--gate] [--ratio R]
 #                              [--ops N] [--qps Q]
 # (--ratio sets the churn point's read ratio.)
-# Artifacts (reports + logs) are left in ./read_sweep_artifacts.
+# Artifacts (reports + logs) are left in ./read_sweep_artifacts; the
+# repeated idle runs are named idle, idle_2, idle_3.
 set -euo pipefail
 
 BUILD_DIR="build"
@@ -35,6 +38,9 @@ QPS=100000
 # On 4 CPUs the lock-free path measured 0.8-8.2x; reads that queued behind
 # write batches measured 46-197x (EXPERIMENTS.md, "Lock-free reads").
 MAX_FACTOR=20
+# A single idle run's read p99 ranged 0.26-2.45 ms over six rounds on
+# 4 CPUs; at 2.45 ms, F = 20 would pass a 49 ms churn p99.
+IDLE_RUNS=3
 
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -102,13 +108,21 @@ run_point() {
 }
 
 echo "read_sweep: read/write p99 (us) on the lock-free read path"
-run_point idle 1.0
-IDLE="$READ_P99"
+IDLE_P99S=()
+for i in $(seq 1 "$IDLE_RUNS"); do
+  point=idle
+  if [ "$i" -gt 1 ]; then point="idle_$i"; fi
+  run_point "$point" 1.0
+  IDLE_P99S+=("$READ_P99")
+done
+IDLE=$(printf '%s\n' "${IDLE_P99S[@]}" | sort -g |
+       sed -n "$(( (IDLE_RUNS + 1) / 2 ))p")
+echo "read_sweep: median idle read p99 over $IDLE_RUNS runs: $IDLE us"
 run_point churn "$RATIO"
 CHURN="$READ_P99"
 
 REL=$(awk "BEGIN{printf \"%.2f\", ($CHURN) / ($IDLE)}")
-echo "read_sweep: churn read p99 is ${REL}x the idle read p99"
+echo "read_sweep: churn read p99 is ${REL}x the median idle read p99"
 if [ "$GATE" -eq 1 ]; then
   CPUS=$(nproc 2>/dev/null || echo 1)
   if [ "$CPUS" -lt 4 ]; then
@@ -119,7 +133,7 @@ if [ "$GATE" -eq 1 ]; then
     PASS=$(awk "BEGIN{print (($CHURN) <= $MAX_FACTOR * ($IDLE)) ? 1 : 0}")
     if [ "$PASS" -ne 1 ]; then
       echo "read_sweep: FAIL — churn read p99 must be <=" \
-           "${MAX_FACTOR}x the idle read p99" >&2
+           "${MAX_FACTOR}x the median idle read p99" >&2
       exit 1
     fi
   fi

@@ -86,8 +86,9 @@ struct MachineInfo {
 MachineInfo DescribeMachine();
 
 /// Renders a complete solve report document: meta + `trace`'s span tree +
-/// `metrics`. Always includes an "obs_enabled" flag so consumers know
-/// whether empty phases mean "nothing ran" or "compiled out".
+/// `metrics`. Always includes an "obs_enabled" flag (true; the schema keeps
+/// it because the validator and mc3_benchdiff read report files written
+/// elsewhere).
 std::string RenderSolveReport(const SolveReportMeta& meta, const Trace& trace,
                               const MetricsSnapshot& metrics);
 

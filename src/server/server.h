@@ -434,8 +434,7 @@ class Server {
   std::atomic<uint64_t> max_batch_{0};
   std::atomic<uint64_t> queue_depth_max_{0};
 
-  /// Request tracing + stage telemetry (internally synchronized; a no-op
-  /// stub when the obs layer is compiled out).
+  /// Request tracing + stage telemetry (internally synchronized).
   // mc3-lint: guard-ok(constructed before Start, internally synchronized)
   ServingTelemetry telemetry_;
   /// Start time for `health`/`metrics` uptime reporting.

@@ -1,7 +1,7 @@
 // Tests of the observability layer: metrics registry (including
 // concurrency), span tracing, JSON writer/parser round trips and report
-// schema validation. The span-dependent assertions are gated on
-// MC3_OBS_DISABLED so the suite also passes in an MC3_OBS=OFF build.
+// schema validation, the Chrome trace-event sink and the Prometheus
+// exposition.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -100,7 +100,6 @@ TEST(MetricsTest, CountersGaugesHistograms) {
   histogram.Record(0.001);
   histogram.Record(0.004);
 
-  if (!obs::kObsEnabled) return;  // no-op build: nothing to snapshot
   const obs::MetricsSnapshot snap = registry.Snap();
   EXPECT_EQ(snap.counters.at("test.counter"), 5u);
   EXPECT_EQ(snap.gauges.at("test.gauge"), 2.5);
@@ -118,7 +117,6 @@ TEST(MetricsTest, CountersGaugesHistograms) {
 }
 
 TEST(MetricsTest, HistogramBucketsAreMonotonic) {
-  if (!obs::kObsEnabled) return;
   EXPECT_EQ(obs::Histogram::BucketOf(0), 0);
   EXPECT_EQ(obs::Histogram::BucketLowerBound(0), 0);
   int last = 0;
@@ -152,7 +150,6 @@ TEST(MetricsTest, ConcurrentRecordingLosesNothing) {
   }
   for (std::thread& t : threads) t.join();
 
-  if (!obs::kObsEnabled) return;
   EXPECT_EQ(counter.Value(),
             static_cast<uint64_t>(kThreads) * kPerThread);
   const obs::HistogramSnapshot h =
@@ -164,8 +161,6 @@ TEST(MetricsTest, ConcurrentRecordingLosesNothing) {
   for (uint64_t b : h.buckets) bucketed += b;
   EXPECT_EQ(bucketed, h.count);
 }
-
-#if !defined(MC3_OBS_DISABLED)
 
 TEST(TraceTest, BuildsSpanTreeWithStats) {
   obs::Trace trace("root");
@@ -251,8 +246,6 @@ TEST(TraceTest, SolverSolvePopulatesPhases) {
   EXPECT_NE(root.FindSpan("partition"), nullptr);
 }
 
-#endif  // !MC3_OBS_DISABLED
-
 obs::SolveReportMeta TestMeta() {
   obs::SolveReportMeta meta;
   meta.tool = "bench";
@@ -307,60 +300,98 @@ obs::BenchRunInfo QuickRunInfo() {
   return run;
 }
 
-TEST(ReportTest, BenchReportRequiresPhasesWhenEnabled) {
-  obs::Trace trace("bench");
+// Opens one span per phase the bench-report validator requires of a report
+// that declares obs_enabled, so a case rendered from `trace` passes it.
+void AddRequiredBenchPhases(obs::Trace* trace) {
+  obs::ScopedTraceActivation activate(trace);
+  for (const char* name :
+       {"preprocess", "step1", "step3", "step4", "partition", "k2_component",
+        "maxflow", "greedy", "primal_dual", "online_update", "repartition",
+        "solve_component"}) {
+    obs::ScopedSpan span(name);
+  }
+}
+
+// Renders a one-case bench report over `trace` with the given repeats.
+std::string RenderOneCaseBenchReport(const obs::Trace& trace,
+                                     std::vector<double> wall_seconds) {
   std::vector<obs::BenchCase> cases;
   obs::BenchCase bench_case;
   bench_case.meta = TestMeta();
   bench_case.trace = &trace;
   bench_case.counters["bench.test_counter"] = 7;
-  bench_case.wall_seconds = {0.001};
+  bench_case.wall_seconds = std::move(wall_seconds);
   cases.push_back(std::move(bench_case));
-  const std::string json = obs::RenderBenchReport(
-      cases, obs::MetricsRegistry::Global().Snap(), QuickRunInfo());
-  const Status status = obs::ValidateBenchReportJson(json);
-  if (obs::kObsEnabled) {
-    // An empty span tree cannot carry the required phases.
-    EXPECT_FALSE(status.ok());
-  } else {
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  }
+  return obs::RenderBenchReport(cases, obs::MetricsRegistry::Global().Snap(),
+                                QuickRunInfo());
+}
+
+// Replaces the first occurrence of `from` in `json` with `to`. A bench
+// report renders its cases before the run-level "metrics" section, so a
+// case key such as "counters" is found in the case, not in the metrics.
+std::string ReplaceFirst(std::string json, const std::string& from,
+                         const std::string& to) {
+  const size_t at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) json.replace(at, from.size(), to);
+  return json;
+}
+
+TEST(ReportTest, BenchReportRequiresPhasesWhenEnabled) {
+  obs::Trace empty("bench");
+  const std::string json = RenderOneCaseBenchReport(empty, {0.001});
+  EXPECT_NE(json.find("\"obs_enabled\": true"), std::string::npos);
+  // An empty span tree cannot carry the required phases.
+  EXPECT_FALSE(obs::ValidateBenchReportJson(json).ok());
+
+  // A report that declares observability off is exempt from the phase
+  // check: its empty span tree means nothing was traced.
+  const std::string declared_off =
+      ReplaceFirst(json, "\"obs_enabled\": true", "\"obs_enabled\": false");
+  const Status off_status = obs::ValidateBenchReportJson(declared_off);
+  EXPECT_TRUE(off_status.ok()) << off_status.ToString();
+
+  // Every required phase present: accepted.
+  obs::Trace full("bench");
+  AddRequiredBenchPhases(&full);
+  const Status full_status =
+      obs::ValidateBenchReportJson(RenderOneCaseBenchReport(full, {0.001}));
+  EXPECT_TRUE(full_status.ok()) << full_status.ToString();
 }
 
 TEST(ReportTest, BenchReportV2RequiresCountersAndWallTimes) {
   obs::Trace trace("bench");
-  std::vector<obs::BenchCase> cases;
-  obs::BenchCase bench_case;
-  bench_case.meta = TestMeta();
-  bench_case.trace = &trace;
-  bench_case.counters["bench.test_counter"] = 7;
-  bench_case.wall_seconds = {0.001, 0.002};
-  cases.push_back(std::move(bench_case));
-  const std::string json = obs::RenderBenchReport(
-      cases, obs::MetricsRegistry::Global().Snap(), QuickRunInfo());
+  AddRequiredBenchPhases(&trace);
+  const std::string json = RenderOneCaseBenchReport(trace, {0.001, 0.002});
 
-  // The rendered document carries the v2 header fields verbatim.
+  // The rendered document carries the v2 header fields verbatim and, with
+  // every required phase traced, validates.
   EXPECT_NE(json.find("\"schema\": \"mc3.bench_report/2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"machine\""), std::string::npos);
   EXPECT_NE(json.find("\"bench.test_counter\": 7"), std::string::npos);
+  const Status status = obs::ValidateBenchReportJson(json);
+  EXPECT_TRUE(status.ok()) << status.ToString();
 
   // Dropping the per-case wall times must fail v2 validation.
-  std::string no_walls = json;
-  const size_t at = no_walls.find("\"wall_seconds\"");
-  ASSERT_NE(at, std::string::npos);
-  no_walls.replace(at, std::strlen("\"wall_seconds\""), "\"renamed\"");
-  EXPECT_FALSE(obs::ValidateBenchReportJson(no_walls).ok());
+  EXPECT_FALSE(obs::ValidateBenchReportJson(
+                   ReplaceFirst(json, "\"wall_seconds\"", "\"renamed\""))
+                   .ok());
 
-  // A v1 document (no counters, no machine block) stays accepted.
-  std::string v1 = json;
-  const size_t schema_at = v1.find("mc3.bench_report/2");
-  ASSERT_NE(schema_at, std::string::npos);
-  v1.replace(schema_at, std::strlen("mc3.bench_report/2"),
-             "mc3.bench_report/1");
-  if (!obs::kObsEnabled) {
-    EXPECT_TRUE(obs::ValidateBenchReportJson(v1).ok());
-  }
+  // Dropping the per-case counters must fail v2 validation too.
+  EXPECT_FALSE(obs::ValidateBenchReportJson(
+                   ReplaceFirst(json, "\"counters\"", "\"renamed\""))
+                   .ok());
+
+  // A v1 document stays accepted without the /2 fields: no counters, no
+  // wall times, no machine block.
+  std::string v1 =
+      ReplaceFirst(json, "mc3.bench_report/2", "mc3.bench_report/1");
+  v1 = ReplaceFirst(v1, "\"counters\"", "\"v1_unused_a\"");
+  v1 = ReplaceFirst(v1, "\"wall_seconds\"", "\"v1_unused_b\"");
+  v1 = ReplaceFirst(v1, "\"machine\"", "\"v1_unused_c\"");
+  const Status v1_status = obs::ValidateBenchReportJson(v1);
+  EXPECT_TRUE(v1_status.ok()) << v1_status.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -377,7 +408,6 @@ TEST(HistogramQuantileTest, EmptyHistogramReportsZeroEverywhere) {
 }
 
 TEST(HistogramQuantileTest, SingleSampleIsEveryQuantile) {
-  if (!obs::kObsEnabled) return;
   auto& registry = obs::MetricsRegistry::Global();
   registry.ResetAll();
   registry.GetHistogram("test.quantile.single").Record(0.0042);
@@ -393,7 +423,6 @@ TEST(HistogramQuantileTest, SingleSampleIsEveryQuantile) {
 }
 
 TEST(HistogramQuantileTest, OpenEndedFirstBucketClampsToObservedRange) {
-  if (!obs::kObsEnabled) return;
   // Samples far below the first finite bucket bound land in the open-ended
   // first bucket; interpolation must clamp to [min, max], not to the bucket
   // bound.
@@ -414,7 +443,6 @@ TEST(HistogramQuantileTest, OpenEndedFirstBucketClampsToObservedRange) {
 }
 
 TEST(HistogramQuantileTest, OpenEndedLastBucketClampsToObservedMax) {
-  if (!obs::kObsEnabled) return;
   // A sample beyond the last finite bound lands in the open-ended last
   // bucket, whose upper edge is +inf; the observed max must bound the
   // estimate.
@@ -436,8 +464,6 @@ TEST(HistogramQuantileTest, OpenEndedLastBucketClampsToObservedMax) {
 
 // ---------------------------------------------------------------------------
 // Chrome trace-event sink.
-
-#if !defined(MC3_OBS_DISABLED)
 
 namespace {
 
@@ -559,8 +585,6 @@ TEST(TraceEventSinkTest, CapsRecordsAndCountsDrops) {
   EXPECT_EQ(complete.size(), 4u);
 }
 
-#endif  // !MC3_OBS_DISABLED
-
 // ---------------------------------------------------------------------------
 // Prometheus exposition rendering and parsing.
 
@@ -571,9 +595,8 @@ TEST(ExpositionTest, PrometheusNameSanitizes) {
 }
 
 TEST(ExpositionTest, ExtraSamplesRoundTripThroughParser) {
-  // Extra samples render in every build config (the registry snapshot is
-  // simply empty under MC3_OBS=OFF), so this covers the `metrics` verb's
-  // always-on surface.
+  // Extra samples render without any registry state (the snapshot here is
+  // empty), so this covers the `metrics` verb's server-side surface.
   obs::MetricsSnapshot snap;
   std::vector<obs::ExpositionSample> extra;
   extra.push_back({"server.requests", "counter", {}, 42});
@@ -610,7 +633,6 @@ TEST(ExpositionTest, ExtraSamplesRoundTripThroughParser) {
 }
 
 TEST(ExpositionTest, RegistryHistogramRendersCumulativeBuckets) {
-  if (!obs::kObsEnabled) return;
   auto& registry = obs::MetricsRegistry::Global();
   registry.ResetAll();
   obs::Histogram& histogram = registry.GetHistogram("test.expo.latency");
@@ -660,7 +682,6 @@ TEST(ExpositionTest, ParserRejectsMalformedLines) {
 }
 
 TEST(HistogramQuantileTest, QuantilesAreMonotonicAcrossSpreadSamples) {
-  if (!obs::kObsEnabled) return;
   auto& registry = obs::MetricsRegistry::Global();
   registry.ResetAll();
   obs::Histogram& histogram = registry.GetHistogram("test.quantile.spread");

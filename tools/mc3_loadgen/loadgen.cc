@@ -348,8 +348,8 @@ Result<std::string> ScrapeOnce(int fd, uint64_t id, double at_seconds,
 /// counters must equal the client's sent counts (requests are counted at
 /// parse, strictly before any response, so by the time every response has
 /// arrived the counters are settled), and the server cannot have committed
-/// more engine batches than the client saw acknowledged updates. Registry
-/// counters absent from the exposition (obs compiled out) skip their check.
+/// more engine batches than the client saw acknowledged updates. A counter
+/// absent from the exposition skips its check.
 std::string ReconcileDrift(const ScrapeSample& last, const LoadReport& report) {
   const auto drift = [](const char* what, double got, uint64_t want) {
     return std::string(what) + ": server reports " +

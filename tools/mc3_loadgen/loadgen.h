@@ -94,8 +94,10 @@ struct ShardLoad {
 };
 
 /// One sample of the server's `metrics` exposition, taken mid-run by the
-/// scraper connection. Counter fields are absent (-1) when the exposition
-/// did not carry them (an -DMC3_OBS=OFF server has no registry counters).
+/// scraper connection. Counter fields are -1 when the exposition did not
+/// carry them. A counter can be absent from any exposition: a registry
+/// counter is registered only once its instrumented site first runs, and
+/// the server scraped may be another version.
 struct ScrapeSample {
   double at_seconds = 0;  ///< run-clock time of the scrape
   double requests = -1;   ///< mc3_server_requests_total
