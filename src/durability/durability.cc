@@ -6,11 +6,9 @@
 #include <utility>
 #include <vector>
 
-#include "data/query_log.h"
 #include "durability/snapshot.h"
 #include "obs/metrics.h"
 #include "online/update_trace.h"
-#include "util/float_cmp.h"
 
 namespace mc3::durability {
 namespace {
@@ -38,28 +36,6 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-/// Prices classifiers the engine does not know yet, exactly mirroring the
-/// live server's admission pricing (Server::PriceUnknown) so replay
-/// reproduces the same cost table. Templated over the engine type: the
-/// sharded facade exposes the same pricing surface as OnlineEngine.
-template <typename Engine>
-Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
-                    Engine* engine) {
-  if (default_cost < 0 || added.empty()) return Status::OK();
-  // No name table on the pricing instance: the estimator reads names only
-  // for per-property difficulties, which replay never sets.
-  Instance pricing;
-  for (const PropertySet& query : added) pricing.AddQuery(query);
-  data::CostEstimatorOptions estimator;
-  estimator.default_difficulty = default_cost;
-  MC3_RETURN_IF_ERROR(data::EstimateCosts(&pricing, estimator));
-  for (const auto& [classifier, cost] : SortedCostEntries(pricing.costs())) {
-    if (!IsInfiniteCost(engine->CostOf(classifier))) continue;
-    MC3_RETURN_IF_ERROR(engine->SetCost(classifier, cost));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 DurabilityManager::DurabilityManager(DurabilityOptions options)
@@ -80,11 +56,8 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   return manager;
 }
 
-template <typename Engine, typename ImportFn>
-Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
-                                                     double default_cost,
-                                                     Engine* engine,
-                                                     const ImportFn& import) {
+Result<RecoveryStats> DurabilityManager::Recover(
+    const Instance& base, double default_cost, online::ShardedEngine* engine) {
   if (recovered_) return Status::Internal("Recover called twice");
   const double started = NowSeconds();
 
@@ -98,7 +71,7 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
     stats.snapshot_loaded = true;
     stats.snapshot_seq = snapshot->seq;
     stats.snapshots_skipped = snapshot->skipped_invalid;
-    MC3_RETURN_IF_ERROR(import(*snapshot));
+    MC3_RETURN_IF_ERROR(engine->ImportSharded(snapshot->state));
   } else if (snapshot.status().code() == StatusCode::kNotFound) {
     auto initialized = engine->Initialize(base);
     if (!initialized.ok()) return initialized.status();
@@ -137,7 +110,7 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
         remove.push_back(std::move(op.query));
       }
     }
-    MC3_RETURN_IF_ERROR(PriceUnknown(add, default_cost, engine));
+    MC3_RETURN_IF_ERROR(engine->PriceUnknown(add, default_cost));
     auto applied = engine->ApplyUpdate(add, remove);
     if (!applied.ok()) {
       return Status::IOError("WAL record " + std::to_string(record.seq) +
@@ -161,22 +134,6 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
       .GetGauge("durability.recovery_ms")
       .Set(stats.recovery_seconds * 1e3);
   return stats;
-}
-
-Result<RecoveryStats> DurabilityManager::Recover(
-    const Instance& base, double default_cost, online::OnlineEngine* engine) {
-  return RecoverWith(base, default_cost, engine,
-                     [engine](const LoadedSnapshot& snapshot) {
-                       return engine->ImportState(snapshot.state);
-                     });
-}
-
-Result<RecoveryStats> DurabilityManager::Recover(
-    const Instance& base, double default_cost, online::ShardedEngine* engine) {
-  return RecoverWith(base, default_cost, engine,
-                     [engine](const LoadedSnapshot& snapshot) {
-                       return engine->ImportSharded(snapshot.ToShardedState());
-                     });
 }
 
 Result<uint64_t> DurabilityManager::LogBatch(
@@ -206,8 +163,8 @@ bool DurabilityManager::ShouldCheckpoint() const {
   return false;
 }
 
-template <typename StateT>
-Result<CheckpointInfo> DurabilityManager::CheckpointWith(const StateT& state) {
+Result<CheckpointInfo> DurabilityManager::Checkpoint(
+    const online::ShardedState& state) {
   const double started = NowSeconds();
   // Barrier: everything logged so far must be durable before the snapshot
   // that supersedes it is published — otherwise a crash after rotation
@@ -235,16 +192,6 @@ Result<CheckpointInfo> DurabilityManager::CheckpointWith(const StateT& state) {
       .GetGauge("durability.snapshot_seq")
       .Set(static_cast<double>(seq));
   return info;
-}
-
-Result<CheckpointInfo> DurabilityManager::Checkpoint(
-    const online::EngineState& state) {
-  return CheckpointWith(state);
-}
-
-Result<CheckpointInfo> DurabilityManager::Checkpoint(
-    const online::ShardedState& state) {
-  return CheckpointWith(state);
 }
 
 WalWriterStats DurabilityManager::GetWalStats() const { return wal_->Stats(); }

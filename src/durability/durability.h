@@ -26,7 +26,6 @@
 #include "core/instance.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
-#include "online/online_engine.h"
 #include "online/sharded_engine.h"
 #include "util/status.h"
 
@@ -80,22 +79,17 @@ class DurabilityManager {
 
   /// Restores engine state: loads the latest valid snapshot into `engine`
   /// (which must be untouched) or, when none exists, initializes it from
-  /// `base`; then replays the WAL tail past the snapshot's sequence.
-  /// Classifiers unknown at replay time are priced exactly like the live
-  /// server prices them (data::EstimateCosts with `default_cost` as the
-  /// per-property difficulty; negative disables pricing). Call exactly
-  /// once, before any LogBatch. When a snapshot was loaded, `base` is
-  /// ignored — its content is part of the snapshot.
-  Result<RecoveryStats> Recover(const Instance& base, double default_cost,
-                                online::OnlineEngine* engine);
-
-  /// Same recovery contract for a sharded engine: the snapshot's recorded
-  /// shard layout is restored verbatim (InvalidArgument when it disagrees
-  /// with `engine->num_shards()` — restart with a matching --shards or let
-  /// `mc3 recover` probe the snapshot), then the WAL tail replays through
-  /// the shard router. The WAL itself is shard-agnostic (docs/durability.md
-  /// explains why a single log is kept), so the same log replays
-  /// byte-identically into any shard layout.
+  /// `base`; then replays the WAL tail past the snapshot's sequence through
+  /// the shard router. The snapshot's recorded shard layout is restored
+  /// verbatim (InvalidArgument when it disagrees with
+  /// `engine->num_shards()` — restart with a matching --shards or let
+  /// `mc3 recover` probe the snapshot); a v1 document is a 1-shard layout.
+  /// The WAL itself is shard-agnostic (docs/durability.md explains why a
+  /// single log is kept), so the same log replays byte-identically into
+  /// any shard layout. Classifiers unknown at replay time are priced by
+  /// ShardedEngine::PriceUnknown at `default_cost`. Call exactly once,
+  /// before any LogBatch. When a snapshot was loaded, `base` is ignored —
+  /// its content is part of the snapshot.
   Result<RecoveryStats> Recover(const Instance& base, double default_cost,
                                 online::ShardedEngine* engine);
 
@@ -112,12 +106,10 @@ class DurabilityManager {
   bool ShouldCheckpoint() const;
 
   /// Publishes a snapshot of `state` covering every logged batch: WAL sync
-  /// barrier, atomic snapshot write, segment rotation. `state` must be the
-  /// engine's export under the same exclusion that serializes LogBatch
-  /// (the engine worker), so the captured WAL sequence is exact.
-  Result<CheckpointInfo> Checkpoint(const online::EngineState& state);
-  /// Same, for a sharded export: writes mc3.snapshot/2 with shard tags
-  /// (plain v1 when the layout has a single shard).
+  /// barrier, atomic snapshot write (mc3.snapshot/2 with shard tags, plain
+  /// v1 when the layout has a single shard), segment rotation. `state` must
+  /// be the engine's export under the same exclusion that serializes
+  /// LogBatch (the engine worker), so the captured WAL sequence is exact.
   Result<CheckpointInfo> Checkpoint(const online::ShardedState& state);
 
   WalWriterStats GetWalStats() const;
@@ -129,19 +121,6 @@ class DurabilityManager {
 
  private:
   explicit DurabilityManager(DurabilityOptions options);
-
-  /// Shared recovery core: `import` restores a loaded snapshot into
-  /// `engine`; the rest (initialize-from-base, seq floor, WAL replay,
-  /// pricing) is identical for single and sharded engines. Defined in
-  /// durability.cc; instantiated only there.
-  template <typename Engine, typename ImportFn>
-  Result<RecoveryStats> RecoverWith(const Instance& base, double default_cost,
-                                    Engine* engine, const ImportFn& import);
-
-  /// Shared checkpoint core (the WriteSnapshotFile overload picks the
-  /// schema).
-  template <typename StateT>
-  Result<CheckpointInfo> CheckpointWith(const StateT& state);
 
   DurabilityOptions options_;
   std::unique_ptr<WalWriter> wal_;

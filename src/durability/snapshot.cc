@@ -79,7 +79,7 @@ std::string SnapshotFileName(uint64_t seq) {
 
 namespace {
 
-/// Shared v1/v2 renderer: `component_shards` == nullptr renders the legacy
+/// Shared v1/v2 renderer: `component_shards` == nullptr renders the plain
 /// mc3.snapshot/1 document, otherwise mc3.snapshot/2 with shard tags.
 std::string RenderSnapshotDoc(const online::EngineState& state, uint64_t seq,
                               uint32_t num_shards,
@@ -173,28 +173,29 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
       return Status::InvalidArgument(
           "shards must be an integer in [1, 65536]");
     }
-    out.num_shards = static_cast<uint32_t>(shards->number);
+    out.state.num_shards = static_cast<uint32_t>(shards->number);
   }
 
   const obs::JsonValue* names = root.Find("property_names");
   if (names == nullptr || !names->is_array()) {
     return Status::InvalidArgument("property_names must be an array");
   }
-  out.state.property_names.reserve(names->array.size());
+  online::EngineState& state = out.state.state;
+  state.property_names.reserve(names->array.size());
   for (const obs::JsonValue& name : names->array) {
     if (!name.is_string()) {
       return Status::InvalidArgument("property_names entries must be strings");
     }
-    out.state.property_names.push_back(name.string);
+    state.property_names.push_back(name.string);
   }
-  const size_t num_names = out.state.property_names.size();
+  const size_t num_names = state.property_names.size();
 
   const obs::JsonValue* costs = root.Find("costs");
   // mc3-lint: float-eq-ok(null-pointer check, not a cost comparison)
   if (costs == nullptr || !costs->is_array()) {
     return Status::InvalidArgument("costs must be an array");
   }
-  out.state.costs.reserve(costs->array.size());
+  state.costs.reserve(costs->array.size());
   for (const obs::JsonValue& entry : costs->array) {
     const obs::JsonValue* classifier =
         entry.is_object() ? entry.Find("classifier") : nullptr;
@@ -209,14 +210,14 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
     }
     auto set = ParseIdArray(*classifier, num_names, "costs.classifier");
     if (!set.ok()) return set.status();
-    out.state.costs.emplace_back(std::move(*set), cost->number);
+    state.costs.emplace_back(std::move(*set), cost->number);
   }
 
   const obs::JsonValue* components = root.Find("components");
   if (components == nullptr || !components->is_array()) {
     return Status::InvalidArgument("components must be an array");
   }
-  out.state.components.reserve(components->array.size());
+  state.components.reserve(components->array.size());
   for (const obs::JsonValue& entry : components->array) {
     const obs::JsonValue* queries =
         entry.is_object() ? entry.Find("queries") : nullptr;
@@ -238,7 +239,7 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
       if (shard_tag == nullptr || !shard_tag->is_number() ||
           shard_tag->number != std::floor(shard_tag->number) ||
           shard_tag->number < 0 ||
-          shard_tag->number >= static_cast<double>(out.num_shards)) {
+          shard_tag->number >= static_cast<double>(out.state.num_shards)) {
         return Status::InvalidArgument(
             "components entries must carry a shard index below 'shards'");
       }
@@ -258,8 +259,8 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
       if (!set.ok()) return set.status();
       component.solution.push_back(std::move(*set));
     }
-    out.state.components.push_back(std::move(component));
-    out.component_shards.push_back(shard);
+    state.components.push_back(std::move(component));
+    out.state.component_shards.push_back(shard);
   }
   return out;
 }
@@ -270,30 +271,10 @@ Status ValidateSnapshotJson(const std::string& json) {
   return Status::OK();
 }
 
-namespace {
-
-/// Publishes an already-rendered snapshot document atomically.
-Result<uint64_t> PublishSnapshotDocument(const std::string& dir,
-                                         std::string document, uint64_t seq);
-
-}  // namespace
-
-Result<uint64_t> WriteSnapshotFile(const std::string& dir,
-                                   const online::EngineState& state,
-                                   uint64_t seq) {
-  return PublishSnapshotDocument(dir, RenderSnapshot(state, seq), seq);
-}
-
 Result<uint64_t> WriteSnapshotFile(const std::string& dir,
                                    const online::ShardedState& state,
                                    uint64_t seq) {
-  return PublishSnapshotDocument(dir, RenderShardedSnapshot(state, seq), seq);
-}
-
-namespace {
-
-Result<uint64_t> PublishSnapshotDocument(const std::string& dir,
-                                         std::string document, uint64_t seq) {
+  const std::string document = RenderShardedSnapshot(state, seq);
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) return Status::IOError("cannot create " + dir + ": " + ec.message());
@@ -341,8 +322,6 @@ Result<uint64_t> PublishSnapshotDocument(const std::string& dir,
   return static_cast<uint64_t>(document.size());
 }
 
-}  // namespace
-
 Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
   std::error_code ec;
   if (!fs::exists(dir, ec)) {
@@ -388,8 +367,6 @@ Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
     }
     out.seq = parsed->seq;
     out.state = std::move(parsed->state);
-    out.num_shards = parsed->num_shards;
-    out.component_shards = std::move(parsed->component_shards);
     out.path = path;
     return out;
   }
@@ -399,7 +376,7 @@ Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
 Result<uint32_t> ProbeSnapshotShardCount(const std::string& dir) {
   auto loaded = LoadLatestSnapshot(dir);
   if (!loaded.ok()) return loaded.status();
-  return loaded->num_shards;
+  return loaded->state.num_shards;
 }
 
 }  // namespace mc3::durability

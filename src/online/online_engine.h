@@ -128,6 +128,11 @@ class OnlineEngine {
 
   /// Price of `classifier` in the engine's table; +infinity when absent.
   Cost CostOf(const PropertySet& classifier) const;
+  /// The engine's cost table.
+  const CostMap& costs() const { return costs_; }
+  /// True iff every property of `query` is covered by some finite-cost
+  /// classifier of the table that is a subset of `query`.
+  bool Coverable(const PropertySet& query) const;
 
   /// Applies one update batch: removes first, then adds. Only the touched
   /// components are repartitioned and re-solved. Fails without mutating
@@ -203,10 +208,6 @@ class OnlineEngine {
 
   /// Builds the view piece of `solution` at the current prices.
   std::shared_ptr<const ViewPiece> BuildPiece(const Solution& solution) const;
-
-  /// True iff every property of `query` is covered by some finite-cost
-  /// classifier of the table that is a subset of `query`.
-  bool Coverable(const PropertySet& query) const;
 
   /// Builds the sub-instance over the live queries in `slots`, without a
   /// name table: solvers only render names into error messages, and copying

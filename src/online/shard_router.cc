@@ -10,8 +10,8 @@ ShardRouter::ShardRouter(uint32_t num_shards)
     : num_shards_(num_shards == 0 ? 1 : num_shards) {}
 
 uint32_t ShardRouter::ShardOf(const PropertySet& query) const {
-  const auto it = shard_of_query_.find(query);
-  return it == shard_of_query_.end() ? num_shards_ : it->second;
+  const auto it = live_.find(query);
+  return it == live_.end() ? num_shards_ : it->second.shard;
 }
 
 uint32_t ShardRouter::HashShard(const PropertySet& query) const {
@@ -28,9 +28,50 @@ uint32_t ShardRouter::HashShard(const PropertySet& query) const {
   return static_cast<uint32_t>(h % num_shards_);
 }
 
-ShardRouter::Group* ShardRouter::FindGroup(PropertyId prop) {
-  const auto it = groups_.find(uf_.Find(prop));
-  return it == groups_.end() ? nullptr : &it->second;
+std::vector<uint32_t> ShardRouter::TouchedRoots(
+    const PropertySet& query) const {
+  std::vector<uint32_t> roots;
+  for (const PropertyId p : query) {
+    const uint32_t root = uf_.Find(p);
+    if (groups_.count(root) > 0) roots.push_back(root);
+  }
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  return roots;
+}
+
+void ShardRouter::Link(LiveEntry* entry,
+                       const std::vector<uint32_t>& roots) {
+  Group merged;
+  if (!roots.empty()) {
+    const auto largest = std::max_element(
+        roots.begin(), roots.end(), [this](uint32_t a, uint32_t b) {
+          return groups_.at(a).queries.size() < groups_.at(b).queries.size();
+        });
+    merged = std::move(groups_.at(*largest));
+    for (const uint32_t root : roots) {
+      if (root == *largest) continue;
+      for (LiveEntry* moved : groups_.at(root).queries) {
+        moved->second.slot = merged.queries.size();
+        merged.queries.push_back(moved);
+      }
+    }
+    for (const uint32_t root : roots) groups_.erase(root);
+  }
+  merged.shard = entry->second.shard;
+  const PropertySet& query = entry->first;
+  for (const PropertyId p : query) uf_.Union(p, query.ids().front());
+  entry->second.slot = merged.queries.size();
+  merged.queries.push_back(entry);
+  groups_[uf_.Find(query.ids().front())] = std::move(merged);
+}
+
+void ShardRouter::Unlink(LiveEntry* entry) {
+  Group& group = groups_.at(uf_.Find(entry->first.ids().front()));
+  LiveEntry* last = group.queries.back();
+  group.queries[entry->second.slot] = last;
+  last->second.slot = entry->second.slot;
+  group.queries.pop_back();
 }
 
 RoutePlan ShardRouter::Route(const std::vector<PropertySet>& add,
@@ -46,7 +87,16 @@ RoutePlan ShardRouter::Route(const std::vector<PropertySet>& add,
     bool now_live = false;
     uint32_t new_shard = 0;
   };
-  std::unordered_map<PropertySet, Delta, PropertySetHash> deltas;
+  // First-touch ordered: the map only indexes into the vector, so per-shard
+  // ops are emitted in batch order (migrated queries in their group's
+  // sorted order) and a 1-shard plan hands the engine the batch unchanged.
+  std::vector<std::pair<PropertySet, Delta>> deltas;
+  std::unordered_map<PropertySet, size_t, PropertySetHash> delta_index;
+  const auto touch = [&](const PropertySet& q) -> std::pair<Delta*, bool> {
+    const auto [it, inserted] = delta_index.try_emplace(q, deltas.size());
+    if (inserted) deltas.emplace_back(q, Delta{});
+    return {&deltas[it->second].second, inserted};
+  };
 
   const std::unordered_set<PropertySet, PropertySetHash> added_set(
       add.begin(), add.end());
@@ -58,41 +108,30 @@ RoutePlan ShardRouter::Route(const std::vector<PropertySet>& add,
   for (const PropertySet& q : remove) {
     if (added_set.count(q) > 0) continue;
     if (removed_now.count(q) > 0) continue;
-    const auto it = shard_of_query_.find(q);
-    if (it == shard_of_query_.end()) {
+    const auto it = live_.find(q);
+    if (it == live_.end()) {
       ++plan.missing_removes;
       continue;
     }
-    Group* group = FindGroup(q.ids().front());
-    if (group != nullptr) {
-      const auto pos = std::find(group->queries.begin(), group->queries.end(), q);
-      if (pos != group->queries.end()) group->queries.erase(pos);
-    }
-    Delta d;
-    d.was_live = true;
-    d.old_shard = it->second;
-    deltas.emplace(q, d);
+    Unlink(&*it);
+    Delta* d = touch(q).first;
+    d->was_live = true;
+    d->old_shard = it->second.shard;
     removed_now.insert(q);
-    shard_of_query_.erase(it);
+    live_.erase(it);
     ++plan.queries_removed;
   }
 
   // Adds, in batch order: join the touched groups' shard (merging groups
   // and migrating losers when they disagree) or place a fresh group by
-  // hash.
-  std::unordered_set<PropertySet, PropertySetHash> batch_new;
+  // hash. A query repeated in the batch is live after its first add, so
+  // the liveness check drops the repeats too.
   for (const PropertySet& q : add) {
-    if (shard_of_query_.count(q) > 0 || !batch_new.insert(q).second) {
+    if (live_.count(q) > 0) {
       ++plan.duplicate_adds;
       continue;
     }
-    std::vector<uint32_t> roots;
-    for (const PropertyId p : q) {
-      const uint32_t root = uf_.Find(p);
-      if (groups_.count(root) > 0) roots.push_back(root);
-    }
-    std::sort(roots.begin(), roots.end());
-    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+    const std::vector<uint32_t> roots = TouchedRoots(q);
 
     uint32_t target = 0;
     if (roots.empty()) {
@@ -125,48 +164,37 @@ RoutePlan ShardRouter::Route(const std::vector<PropertySet>& add,
       }
     }
 
-    // Merge the touched groups: migrate losers' live queries to the target
-    // shard, fold every group into one, and union the query's properties.
-    Group merged;
-    merged.shard = target;
+    // Migrate the losing groups' live queries to the target shard, then
+    // fold every touched group and the query into one.
     for (const uint32_t root : roots) {
-      Group& group = groups_.at(root);
-      if (group.shard != target) {
-        std::vector<PropertySet> moving = group.queries;
-        std::sort(moving.begin(), moving.end());
-        for (const PropertySet& m : moving) {
-          shard_of_query_[m] = target;
-          const auto [dit, inserted] = deltas.try_emplace(m, Delta{});
-          if (inserted) {
-            dit->second.was_live = true;
-            dit->second.old_shard = group.shard;
-          }
-          dit->second.now_live = true;
-          dit->second.new_shard = target;
+      const Group& group = groups_.at(root);
+      if (group.shard == target) continue;
+      std::vector<LiveEntry*> moving = group.queries;
+      std::sort(moving.begin(), moving.end(),
+                [](const LiveEntry* a, const LiveEntry* b) {
+                  return a->first < b->first;
+                });
+      for (LiveEntry* m : moving) {
+        m->second.shard = target;
+        const auto [d, inserted] = touch(m->first);
+        if (inserted) {
+          d->was_live = true;
+          d->old_shard = group.shard;
         }
+        d->now_live = true;
+        d->new_shard = target;
       }
-      merged.queries.insert(merged.queries.end(), group.queries.begin(),
-                            group.queries.end());
-      groups_.erase(root);
     }
-    for (const PropertyId p : q) uf_.Union(p, q.ids().front());
-    merged.queries.push_back(q);
-    groups_[uf_.Find(q.ids().front())] = std::move(merged);
+    Link(&*live_.try_emplace(q, Placement{target, 0}).first, roots);
 
-    shard_of_query_[q] = target;
-    Delta d;
-    d.now_live = true;
-    d.new_shard = target;
-    deltas.emplace(q, d);
+    Delta* d = touch(q).first;
+    d->now_live = true;
+    d->new_shard = target;
     ++plan.queries_added;
   }
 
-  // Emit per-shard ops from the placement diffs, in canonical query order.
-  std::vector<std::pair<PropertySet, Delta>> ordered(deltas.begin(),
-                                                     deltas.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [q, d] : ordered) {
+  // Emit per-shard ops from the placement diffs, in first-touch order.
+  for (const auto& [q, d] : deltas) {
     const bool moved = d.was_live && d.now_live && d.new_shard != d.old_shard;
     if (d.was_live && (!d.now_live || moved)) {
       plan.shards[d.old_shard].remove.push_back(q);
@@ -181,7 +209,7 @@ RoutePlan ShardRouter::Route(const std::vector<PropertySet>& add,
 
 Status ShardRouter::AdoptAssignment(
     const std::vector<std::vector<PropertySet>>& live_by_shard) {
-  if (!shard_of_query_.empty() || !groups_.empty()) {
+  if (!live_.empty() || !groups_.empty()) {
     return Status::Internal("AdoptAssignment requires an untouched router");
   }
   if (live_by_shard.size() != num_shards_) {
@@ -194,32 +222,20 @@ Status ShardRouter::AdoptAssignment(
       if (q.empty()) {
         return Status::InvalidArgument("cannot adopt an empty query");
       }
-      if (!shard_of_query_.emplace(q, shard).second) {
+      const auto [it, inserted] = live_.try_emplace(q, Placement{shard, 0});
+      if (!inserted) {
         return Status::InvalidArgument("placement repeats a query");
       }
-      std::vector<uint32_t> roots;
-      for (const PropertyId p : q) {
-        const uint32_t root = uf_.Find(p);
-        if (groups_.count(root) > 0) roots.push_back(root);
-      }
-      std::sort(roots.begin(), roots.end());
-      roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-      Group merged;
-      merged.shard = shard;
+      const std::vector<uint32_t> roots = TouchedRoots(q);
       for (const uint32_t root : roots) {
-        Group& group = groups_.at(root);
-        if (group.shard != shard) {
+        const uint32_t other = groups_.at(root).shard;
+        if (other != shard) {
           return Status::InvalidArgument(
               "placement splits connected queries across shards " +
-              std::to_string(group.shard) + " and " + std::to_string(shard));
+              std::to_string(other) + " and " + std::to_string(shard));
         }
-        merged.queries.insert(merged.queries.end(), group.queries.begin(),
-                              group.queries.end());
-        groups_.erase(root);
       }
-      for (const PropertyId p : q) uf_.Union(p, q.ids().front());
-      merged.queries.push_back(q);
-      groups_[uf_.Find(q.ids().front())] = std::move(merged);
+      Link(&*it, roots);
     }
   }
   return Status::OK();
@@ -232,16 +248,20 @@ Status ShardRouter::CheckInvariants() const {
     if (group.shard >= num_shards_) {
       return Status::Internal("router group placed on an unknown shard");
     }
-    for (const PropertySet& q : group.queries) {
+    for (size_t slot = 0; slot < group.queries.size(); ++slot) {
+      const LiveEntry* entry = group.queries[slot];
       ++grouped;
-      const auto it = shard_of_query_.find(q);
-      if (it == shard_of_query_.end()) {
+      const auto it = live_.find(entry->first);
+      if (it == live_.end() || &*it != entry) {
         return Status::Internal("router group lists a dead query");
       }
-      if (it->second != group.shard) {
+      if (entry->second.shard != group.shard) {
         return Status::Internal("query placement disagrees with its group");
       }
-      for (const PropertyId p : q) {
+      if (entry->second.slot != slot) {
+        return Status::Internal("query slot disagrees with its group");
+      }
+      for (const PropertyId p : entry->first) {
         if (uf_.Find(p) != root) {
           return Status::Internal(
               "query property outside its group's connectivity class");
@@ -249,7 +269,7 @@ Status ShardRouter::CheckInvariants() const {
       }
     }
   }
-  if (grouped != shard_of_query_.size()) {
+  if (grouped != live_.size()) {
     return Status::Internal("router groups do not partition the live set");
   }
   return Status::OK();

@@ -23,7 +23,11 @@
 // Route() resolves one net update batch into per-shard batches by diffing
 // the before/after placement of every affected query, so each query appears
 // at most once per shard (as an add or a remove, never both) and per-shard
-// application order cannot resurrect or double-apply anything.
+// application order cannot resurrect or double-apply anything. Each shard's
+// ops keep first-touch order (batch order; migrated queries in their group's
+// sorted order), so with one shard the engine sees the user's batch in its
+// own order, minus the ops it would skip anyway (duplicate adds, missing
+// removes, removes cancelled by an add).
 #pragma once
 
 #include <cstddef>
@@ -66,11 +70,11 @@ class ShardRouter {
   explicit ShardRouter(uint32_t num_shards);
 
   uint32_t num_shards() const { return num_shards_; }
-  size_t num_live() const { return shard_of_query_.size(); }
+  size_t num_live() const { return live_.size(); }
 
   /// True when `query` is live (routed by an earlier add, not yet removed).
   bool IsLive(const PropertySet& query) const {
-    return shard_of_query_.count(query) > 0;
+    return live_.count(query) > 0;
   }
   /// The shard a live query is placed on; num_shards() when not live.
   uint32_t ShardOf(const PropertySet& query) const;
@@ -96,17 +100,40 @@ class ShardRouter {
   Status CheckInvariants() const;
 
  private:
+  /// Where a live query sits: its shard, and its index in its group's
+  /// `queries` (so a remove unlinks it without a scan).
+  struct Placement {
+    uint32_t shard = 0;
+    size_t slot = 0;
+  };
+  using LiveMap = std::unordered_map<PropertySet, Placement, PropertySetHash>;
+  /// A live query's map node; its address is stable until it is erased.
+  using LiveEntry = LiveMap::value_type;
+
   struct Group {
     uint32_t shard = 0;
-    /// Live queries of the group, insertion-ordered (sorted when emitted).
-    std::vector<PropertySet> queries;
+    /// The group's live queries, in no particular order (sorted when
+    /// migrated).
+    std::vector<LiveEntry*> queries;
   };
 
   /// Stable placement hash for a brand-new group.
   uint32_t HashShard(const PropertySet& query) const;
 
-  /// Group of the property's union-find root, or nullptr.
-  Group* FindGroup(PropertyId prop);
+  /// Union-find roots of `query`'s properties that own a group, sorted
+  /// and unique.
+  std::vector<uint32_t> TouchedRoots(const PropertySet& query) const;
+
+  /// Folds the groups at `roots` into one group on `entry`'s shard that
+  /// also holds `entry`, and unions the entry's properties. The largest
+  /// group is moved, not copied, and only the others' queries are
+  /// re-linked: a query moves only into a group at least as large as its
+  /// own, so without removals it is re-linked at most log2(n) times.
+  void Link(LiveEntry* entry, const std::vector<uint32_t>& roots);
+
+  /// Removes a live query from its group in O(1) (the group's last query
+  /// takes its slot).
+  void Unlink(LiveEntry* entry);
 
   uint32_t num_shards_ = 1;
   /// Monotone connectivity over property ids (never split on removal).
@@ -114,7 +141,7 @@ class ShardRouter {
   /// Union-find root -> group metadata. Rehomed when roots merge; empty
   /// groups are kept so re-added properties rejoin their old shard.
   std::unordered_map<uint32_t, Group> groups_;
-  std::unordered_map<PropertySet, uint32_t, PropertySetHash> shard_of_query_;
+  LiveMap live_;
 };
 
 }  // namespace mc3::online

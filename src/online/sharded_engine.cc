@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "core/instance_util.h"
+#include "data/query_log.h"
+#include "util/float_cmp.h"
 #include "util/timer.h"
 
 namespace mc3::online {
@@ -24,9 +26,8 @@ EngineState CanonicalizeState(EngineState state) {
 }
 
 ShardedEngine::ShardedEngine(uint32_t num_shards, EngineOptions options)
-    : options_(options),
-      router_(num_shards == 0 ? 1 : num_shards) {
-  const uint32_t n = num_shards == 0 ? 1 : num_shards;
+    : options_(options), router_(num_shards) {
+  const uint32_t n = router_.num_shards();
   engines_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) engines_.emplace_back(options);
   last_batch_.shard_ops.assign(n, 0);
@@ -49,7 +50,6 @@ Status ShardedEngine::SetCost(const PropertySet& classifier, Cost cost) {
   for (OnlineEngine& engine : engines_) {
     MC3_RETURN_IF_ERROR(engine.SetCost(classifier, cost));
   }
-  costs_[classifier] = cost;
   return Status::OK();
 }
 
@@ -57,13 +57,21 @@ Cost ShardedEngine::CostOf(const PropertySet& classifier) const {
   return engines_.front().CostOf(classifier);
 }
 
-bool ShardedEngine::Coverable(const PropertySet& query) const {
-  std::unordered_set<PropertyId> covered;
-  ForEachNonEmptySubset(query, [&](const PropertySet& sub) {
-    if (costs_.count(sub) == 0) return;
-    for (const PropertyId p : sub) covered.insert(p);
-  });
-  return covered.size() == query.size();
+Status ShardedEngine::PriceUnknown(const std::vector<PropertySet>& added,
+                                   double default_cost) {
+  if (default_cost < 0 || added.empty()) return Status::OK();
+  // No name table on the pricing instance: the estimator reads names only
+  // for per-property difficulties, which neither caller sets.
+  Instance pricing;
+  for (const PropertySet& query : added) pricing.AddQuery(query);
+  data::CostEstimatorOptions estimator;
+  estimator.default_difficulty = default_cost;
+  MC3_RETURN_IF_ERROR(data::EstimateCosts(&pricing, estimator));
+  for (const auto& [classifier, cost] : SortedCostEntries(pricing.costs())) {
+    if (!IsInfiniteCost(CostOf(classifier))) continue;
+    MC3_RETURN_IF_ERROR(SetCost(classifier, cost));
+  }
+  return Status::OK();
 }
 
 Status ShardedEngine::ValidateAdds(
@@ -82,7 +90,8 @@ Status ShardedEngine::ValidateAdds(
           "query " + q.ToString(names_) +
           " has length > 2 but the engine is configured for K2ExactSolver");
     }
-    if (!Coverable(q)) {
+    // The table is replicated, so shard 0 answers for every shard.
+    if (!engines_.front().Coverable(q)) {
       return Status::Infeasible(
           "query " + q.ToString(names_) +
           " cannot be covered by finite-cost classifiers of the engine's "
@@ -106,8 +115,6 @@ Result<UpdateStats> ShardedEngine::ApplyUpdate(
     const std::vector<PropertySet>& add,
     const std::vector<PropertySet>& remove, const ShardRunner& runner) {
   const uint32_t n = num_shards();
-  if (n == 1) return engines_.front().ApplyUpdate(add, remove);
-
   // Validate before any router or shard mutation: the whole batch commits
   // or nothing does, matching the single engine's all-or-nothing contract.
   MC3_RETURN_IF_ERROR(ValidateAdds(add));
@@ -209,10 +216,7 @@ size_t ShardedEngine::NumComponents() const {
   return total;
 }
 
-EngineCounters ShardedEngine::counters() const {
-  if (engines_.size() == 1) return engines_.front().counters();
-  return counters_;
-}
+EngineCounters ShardedEngine::counters() const { return counters_; }
 
 void ShardedEngine::set_property_names(std::vector<std::string> names) {
   names_ = std::move(names);
@@ -234,7 +238,7 @@ ShardedState ShardedEngine::ExportSharded() const {
   ShardedState out;
   out.num_shards = num_shards();
   out.state.property_names = names_;
-  out.state.costs = SortedCostEntries(costs_);
+  out.state.costs = SortedCostEntries(engines_.front().costs());
   for (uint32_t i = 0; i < engines_.size(); ++i) {
     EngineState shard_state = engines_[i].ExportState();
     for (EngineState::Component& component : shard_state.components) {
@@ -279,35 +283,26 @@ Status ShardedEngine::ImportSharded(const ShardedState& state) {
     MC3_RETURN_IF_ERROR(engines_[i].ImportState(per_shard[i]));
   }
   names_ = state.state.property_names;
-  // mc3-lint: unordered-ok(ShardedState.costs is a sorted vector, not a map)
-  for (const auto& [classifier, cost] : state.state.costs) {
-    costs_[classifier] = cost;
-  }
-  if (num_shards() > 1) {
-    std::vector<std::vector<PropertySet>> live(engines_.size());
-    for (size_t idx = 0; idx < state.state.components.size(); ++idx) {
-      for (const PropertySet& q : state.state.components[idx].queries) {
-        live[state.component_shards[idx]].push_back(q);
-      }
+  std::vector<std::vector<PropertySet>> live(engines_.size());
+  for (size_t idx = 0; idx < state.state.components.size(); ++idx) {
+    for (const PropertySet& q : state.state.components[idx].queries) {
+      live[state.component_shards[idx]].push_back(q);
     }
-    MC3_RETURN_IF_ERROR(router_.AdoptAssignment(live));
   }
-  return Status::OK();
+  return router_.AdoptAssignment(live);
 }
 
 Status ShardedEngine::CheckInvariants() const {
   for (const OnlineEngine& engine : engines_) {
     MC3_RETURN_IF_ERROR(engine.CheckInvariants());
   }
-  if (num_shards() == 1) return Status::OK();
-
   // The sharding contract: no property (and hence no connected component)
   // spans two shards, the router placement matches reality, and the cost
-  // table is replicated bit-exactly.
+  // table is replicated bit-exactly (shard 0's is the reference).
   std::unordered_map<PropertyId, uint32_t> prop_shard;
   size_t total_live = 0;
   const std::vector<std::pair<PropertySet, Cost>> table =
-      SortedCostEntries(costs_);
+      SortedCostEntries(engines_.front().costs());
   for (uint32_t i = 0; i < engines_.size(); ++i) {
     const EngineState shard_state = engines_[i].ExportState();
     for (const EngineState::Component& component : shard_state.components) {

@@ -15,9 +15,11 @@
 //     combine per-shard results in canonical order, so the merged answer
 //     does not depend on which shard holds which component.
 //
-// With num_shards == 1 the facade is a transparent pass-through to one
-// OnlineEngine — no router, no replication, byte-for-byte the legacy
-// behavior (including the legacy mc3.snapshot/1 export).
+// Every shard count runs this one path; 1 shard is N shards with N = 1.
+// Because the router hands each shard its ops in batch order, a 1-shard
+// engine builds exactly the slots, solutions and running total of a bare
+// OnlineEngine fed the same batches, and its snapshots stay plain
+// mc3.snapshot/1 documents (src/durability/snapshot.h).
 //
 // Not thread-safe: callers serialize all calls, exactly like OnlineEngine.
 // The ShardRunner hook lets a caller execute the per-shard apply jobs of
@@ -41,7 +43,7 @@ namespace mc3::online {
 
 /// Serializable sharded engine state: the concatenated per-shard
 /// EngineState (components in shard-major order) plus each component's
-/// owning shard. num_shards == 1 round-trips through the legacy
+/// owning shard. num_shards == 1 round-trips through the plain
 /// mc3.snapshot/1 document; larger layouts use mc3.snapshot/2
 /// (src/durability/snapshot.h).
 struct ShardedState {
@@ -78,6 +80,7 @@ class ShardedEngine {
   using ShardRunner =
       std::function<void(std::vector<std::function<void()>>* jobs)>;
 
+  /// `num_shards` == 0 is taken as 1.
   explicit ShardedEngine(uint32_t num_shards, EngineOptions options = {});
 
   uint32_t num_shards() const {
@@ -94,6 +97,13 @@ class ShardedEngine {
   /// shard validates and solves exactly like the single engine).
   Status SetCost(const PropertySet& classifier, Cost cost);
   Cost CostOf(const PropertySet& classifier) const;
+  /// Prices the classifiers of `added` this engine does not know yet with
+  /// data::EstimateCosts at `default_cost` per-property difficulty
+  /// (negative disables pricing). The one admission pricing policy: the
+  /// server prices live updates with it and recovery prices replayed ones,
+  /// so replay reproduces the live cost table.
+  Status PriceUnknown(const std::vector<PropertySet>& added,
+                      double default_cost);
 
   /// Applies one net update batch: validates every add up front (identical
   /// checks and messages to OnlineEngine::ApplyUpdate, so a rejected batch
@@ -125,8 +135,7 @@ class ShardedEngine {
 
   /// Facade-level counters: updates counts batches through this facade;
   /// queries_added/removed count net user effect (migrations excluded);
-  /// the work counters sum the shards. For num_shards == 1 these are the
-  /// single engine's counters verbatim.
+  /// the work counters sum the shards.
   EngineCounters counters() const;
 
   /// Live queries migrated between shards over the engine's lifetime.
@@ -165,13 +174,10 @@ class ShardedEngine {
   /// messages) against the replicated table, so a batch the single engine
   /// would reject is rejected here before any shard or router mutation.
   Status ValidateAdds(const std::vector<PropertySet>& add) const;
-  bool Coverable(const PropertySet& query) const;
 
   EngineOptions options_;
   std::vector<OnlineEngine> engines_;
   ShardRouter router_;
-  /// Replicated table mirror (validation without poking a shard).
-  CostMap costs_;
   std::vector<std::string> names_;
 
   size_t migrated_total_ = 0;

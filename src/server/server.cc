@@ -18,14 +18,12 @@
 #include <memory>
 #include <utility>
 
-#include "data/query_log.h"
 #include "obs/exposition.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "online/update_trace.h"
 #include "server/coalescer.h"
 #include "util/build_info.h"
-#include "util/float_cmp.h"
 
 namespace mc3::server {
 namespace {
@@ -102,12 +100,11 @@ Server::Connection::~Connection() {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       queue_(options_.queue_capacity),
-      engine_(options_.shards == 0 ? 1 : options_.shards, options_.engine),
-      shard_counters_(options_.shards == 0 ? 1 : options_.shards),
+      engine_(options_.shards, options_.engine),
+      shard_counters_(engine_.num_shards()),
       telemetry_({options_.trace_sample, options_.trace_out_dir}) {
-  const uint32_t view_shards = options_.shards == 0 ? 1 : options_.shards;
-  view_publishers_.reserve(view_shards);
-  for (uint32_t s = 0; s < view_shards; ++s) {
+  view_publishers_.reserve(shard_counters_.size());
+  for (size_t s = 0; s < shard_counters_.size(); ++s) {
     view_publishers_.push_back(
         std::make_unique<
             concurrency::VersionedPublisher<online::EngineReadView>>());
@@ -218,25 +215,26 @@ Status Server::Start(const Instance& base) {
   pool_ = std::make_unique<WorkerPool>(
       std::max<size_t>(1, options_.connection_workers));
   // Shard workers before the engine worker: it dispatches apply jobs to the
-  // shard queues and must never find them missing. Without an engine worker
-  // (the test seam) batches apply serially inline, so no shard threads are
-  // needed.
-  if (engine_.num_shards() > 1 && options_.start_engine_worker) {
-    const uint32_t num_shards = engine_.num_shards();
-    shard_queues_.reserve(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) {
+  // shard queues and must never find them missing. The engine worker
+  // applies the first touched shard's slice itself (ApplyEngineUpdate), so
+  // shard 0, first whenever it is touched, needs no worker and its queue
+  // slot stays null. Without an engine worker (the test seam) every slice
+  // applies inline on the caller, so no shard threads are needed.
+  if (options_.start_engine_worker) {
+    const size_t num_shards = shard_counters_.size();
+    shard_queues_.resize(num_shards);
+    for (size_t s = 1; s < num_shards; ++s) {
       // One dispatcher holds engine_mu_ per batch and each batch posts at
       // most one job per shard, so a tiny queue never fills.
-      shard_queues_.push_back(
-          std::make_unique<BoundedQueue<std::function<void()>>>(4));
+      shard_queues_[s] =
+          std::make_unique<BoundedQueue<std::function<void()>>>(4);
     }
-    for (uint32_t s = 0; s < num_shards; ++s) {
+    for (size_t s = 1; s < num_shards; ++s) {
       shard_threads_.emplace_back([this, s] { ShardWorkerLoop(s); });
       if (options_.pin_cores) PinThreadToCore(&shard_threads_.back(), s);
     }
-  }
-  if (options_.start_engine_worker) {
     engine_thread_ = std::thread([this] { EngineWorkerLoop(); });
+    if (options_.pin_cores) PinThreadToCore(&engine_thread_, 0);
   }
   acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -273,7 +271,9 @@ void Server::Join() {
   }
   // The engine worker (the only producer of shard jobs) is gone: the shard
   // queues can close and their workers drain out.
-  for (const auto& shard_queue : shard_queues_) shard_queue->Close();
+  for (const auto& shard_queue : shard_queues_) {
+    if (shard_queue != nullptr) shard_queue->Close();
+  }
   for (std::thread& worker : shard_threads_) {
     if (worker.joinable()) worker.join();
   }
@@ -516,18 +516,13 @@ Result<online::UpdateStats> Server::ApplyEngineUpdate(
     const std::vector<PropertySet>& remove,
     const std::vector<uint64_t>& trace_ids) {
   const bool span_apply = telemetry_.enabled() && !trace_ids.empty();
-  if (shard_queues_.empty()) {
-    // Unsharded (or embedding-mode) apply: one span on the applying thread
-    // stands in for the per-shard ones.
-    const double start_us = span_apply ? telemetry_.NowUs() : 0;
-    Result<online::UpdateStats> applied = engine_.ApplyUpdate(add, remove);
-    if (span_apply) telemetry_.Span("shard_apply", start_us, trace_ids);
-    return applied;
-  }
-  // Dispatch the routed per-shard jobs to the shard workers and block until
-  // every shard committed; the batch is acked only after this returns. The
-  // dispatching engine worker holds engine_mu_, so at most one batch is in
-  // flight and the shard queues cannot fill.
+  // Apply the routed per-shard jobs and block until every shard committed;
+  // the batch is acked only after this returns. The first touched shard's
+  // job runs on this thread and the others on their shard workers, so a
+  // batch that touches one shard (every batch at 1 shard) takes no thread
+  // hop. Without shard workers (the start_engine_worker = false test seam)
+  // every job runs here. The dispatching engine worker holds engine_mu_, so
+  // at most one batch is in flight and the shard queues cannot fill.
   return engine_.ApplyUpdate(
       add, remove,
       [this, span_apply,
@@ -541,22 +536,14 @@ Result<online::UpdateStats> Server::ApplyEngineUpdate(
           util::CondVar done;
           size_t outstanding MC3_GUARDED_BY(mu) = 0;
         };
-        size_t dispatched = 0;
-        for (const std::function<void()>& job : *jobs) {
-          if (job) ++dispatched;
-        }
-        if (dispatched == 0) return;
         auto barrier = std::make_shared<Barrier>();
-        {
-          util::MutexLock lock(barrier->mu);
-          barrier->outstanding = dispatched;
-        }
+        std::vector<std::function<void()>> here;
         for (size_t s = 0; s < jobs->size(); ++s) {
           if (!(*jobs)[s]) continue;
           std::function<void()>* job = &(*jobs)[s];
-          // Sampled batches record one shard_apply span per dispatched
-          // shard, on the shard worker thread that ran the job (the ids
-          // vector is copied into the job: it outlives this dispatch).
+          // Sampled batches record one shard_apply span per touched shard,
+          // on the thread that ran the job (the ids vector is copied into
+          // the job: it outlives this dispatch).
           std::vector<uint64_t> span_ids =
               span_apply ? trace_ids : std::vector<uint64_t>{};
           auto wrapped = [this, job, barrier,
@@ -573,11 +560,18 @@ Result<online::UpdateStats> Server::ApplyEngineUpdate(
             }
             barrier->done.NotifyOne();
           };
+          {
+            util::MutexLock lock(barrier->mu);
+            ++barrier->outstanding;
+          }
           size_t shard_depth = 0;
-          if (!shard_queues_[s]->TryPush(wrapped, &shard_depth)) {
-            // Closed or full (neither can happen while the engine worker is
-            // live, but a lost job would deadlock the batch): run inline.
-            wrapped();
+          // A failed push (closed or full: neither can happen while the
+          // engine worker is live, but a lost job would deadlock the batch)
+          // also runs the job here.
+          if (here.empty() || s >= shard_queues_.size() ||
+              !shard_queues_[s]->TryPush(wrapped, &shard_depth)) {
+            here.push_back(std::move(wrapped));
+            continue;
           }
           // Shard-queue high watermark (point-in-time depths miss bursts).
           uint64_t seen = shard_counters_[s].queue_depth_max.load(
@@ -587,6 +581,7 @@ Result<online::UpdateStats> Server::ApplyEngineUpdate(
                      seen, shard_depth, std::memory_order_relaxed)) {
           }
         }
+        for (std::function<void()>& job : here) job();
         util::MutexLock lock(barrier->mu);
         barrier->done.Wait(barrier->mu, [&]() MC3_REQUIRES(barrier->mu) {
           return barrier->outstanding == 0;
@@ -594,18 +589,11 @@ Result<online::UpdateStats> Server::ApplyEngineUpdate(
       });
 }
 
-void Server::RecordShardWork(size_t ops) {
-  if (engine_.num_shards() == 1) {
-    if (ops == 0) return;
-    shard_counters_[0].batches.fetch_add(1, std::memory_order_relaxed);
-    shard_counters_[0].ops.fetch_add(ops, std::memory_order_relaxed);
-    obs::MetricsRegistry::Global().GetCounter(ShardMetric(0, "batches")).Add();
-    obs::MetricsRegistry::Global().GetCounter(ShardMetric(0, "ops")).Add(ops);
-    return;
-  }
+void Server::RecordShardWork(std::vector<bool>* touched) {
   const online::ShardBatchStats& batch = engine_.last_batch();
   for (size_t s = 0; s < batch.shard_ops.size(); ++s) {
     if (batch.shard_ops[s] == 0) continue;
+    (*touched)[s] = true;
     shard_counters_[s].batches.fetch_add(1, std::memory_order_relaxed);
     shard_counters_[s].ops.fetch_add(batch.shard_ops[s],
                                      std::memory_order_relaxed);
@@ -666,22 +654,6 @@ PropertySet Server::InternQuery(const std::vector<std::string>& names) {
     ids.push_back(it->second);
   }
   return PropertySet::FromUnsorted(std::move(ids));
-}
-
-Status Server::PriceUnknown(const std::vector<PropertySet>& added) {
-  if (options_.default_cost < 0 || added.empty()) return Status::OK();
-  // No name table on the pricing instance: the estimator reads names only
-  // for per-property difficulties, which the server never sets.
-  Instance pricing;
-  for (const PropertySet& query : added) pricing.AddQuery(query);
-  data::CostEstimatorOptions estimator;
-  estimator.default_difficulty = options_.default_cost;
-  MC3_RETURN_IF_ERROR(data::EstimateCosts(&pricing, estimator));
-  for (const auto& [classifier, cost] : SortedCostEntries(pricing.costs())) {
-    if (!IsInfiniteCost(engine_.CostOf(classifier))) continue;
-    MC3_RETURN_IF_ERROR(engine_.SetCost(classifier, cost));
-  }
-  return Status::OK();
 }
 
 uint64_t Server::PersistApplied(const std::vector<PropertySet>& add,
@@ -754,19 +726,6 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     // applied at all.
     std::vector<bool> touched(shard_counters_.size(), false);
     bool any_applied = false;
-    const auto fold_touched = [this, &touched,
-                               &any_applied]() MC3_REQUIRES(engine_mu_) {
-      any_applied = true;
-      if (engine_.num_shards() == 1) {
-        touched[0] = true;
-        return;
-      }
-      const online::ShardBatchStats& routed = engine_.last_batch();
-      const size_t bound = std::min(routed.shard_ops.size(), touched.size());
-      for (size_t s = 0; s < bound; ++s) {
-        if (routed.shard_ops[s] > 0) touched[s] = true;
-      }
-    };
     Timer coalesce_timer;
     const double coalesce_start_us = tracing ? telemetry_.NowUs() : 0;
     UpdateCoalescer coalescer;
@@ -785,16 +744,16 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     RecordStageSeconds("coalesce", Request::Op::kUpdate,
                        coalesce_timer.Seconds());
     telemetry_.Span("coalesce", coalesce_start_us, sampled_ids);
-    Status priced = PriceUnknown(net.add);
+    Status priced = engine_.PriceUnknown(net.add, options_.default_cost);
     Timer apply_timer;
     Result<online::UpdateStats> applied =
         priced.ok() ? ApplyEngineUpdate(net.add, net.remove, sampled_ids)
                     : Result<online::UpdateStats>(priced);
     if (applied.ok()) {
-      fold_touched();
+      any_applied = true;
       RecordStageSeconds("shard_apply", Request::Op::kUpdate,
                          apply_timer.Seconds());
-      RecordShardWork(net.ops);
+      RecordShardWork(&touched);
       batches_.fetch_add(1, std::memory_order_relaxed);
       coalesced_ops_.fetch_add(net.ops, std::memory_order_relaxed);
       uint64_t seen = max_batch_.load(std::memory_order_relaxed);
@@ -839,7 +798,8 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
       for (size_t i = 0; i < batch.size(); ++i) {
         std::vector<uint64_t> one_ids;
         if (batch[i].sampled) one_ids.push_back(batch[i].trace_id);
-        Status fallback_priced = PriceUnknown(parsed[i].add);
+        Status fallback_priced =
+            engine_.PriceUnknown(parsed[i].add, options_.default_cost);
         Result<online::UpdateStats> one =
             fallback_priced.ok()
                 ? ApplyEngineUpdate(parsed[i].add, parsed[i].remove, one_ids)
@@ -850,8 +810,8 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
                                              one.status().message());
           continue;
         }
-        fold_touched();
-        RecordShardWork(parsed[i].add.size() + parsed[i].remove.size());
+        any_applied = true;
+        RecordShardWork(&touched);
         batches_.fetch_add(1, std::memory_order_relaxed);
         const uint64_t wal_seq = PersistApplied(parsed[i].add,
                                                 parsed[i].remove, one_ids);
@@ -1369,7 +1329,9 @@ ServerStats Server::GetStats() const {
     stats.shards[s].ops =
         shard_counters_[s].ops.load(std::memory_order_relaxed);
     stats.shards[s].queue_depth =
-        s < shard_queues_.size() ? shard_queues_[s]->Depth() : 0;
+        s < shard_queues_.size() && shard_queues_[s] != nullptr
+            ? shard_queues_[s]->Depth()
+            : 0;
     stats.shards[s].queue_depth_max =
         shard_counters_[s].queue_depth_max.load(std::memory_order_relaxed);
   }

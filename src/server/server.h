@@ -21,15 +21,17 @@
 //                          ApplyUpdate; all engine access is serialized by a
 //                          mutex, and every applied batch republishes the
 //                          read views before its acks are written;
-//   * shard workers      — with --shards N > 1 the engine is a
-//                          ShardedEngine and each shard gets a dedicated
-//                          worker thread (optionally core-pinned) behind a
-//                          small bounded queue; the engine worker routes a
-//                          coalesced batch, dispatches the per-shard apply
-//                          jobs to those queues and blocks until all shards
-//                          committed, then acks every folded request. Reads
-//                          merge per-shard views in canonical order, so
-//                          responses are byte-identical to --shards 1
+//   * shard workers      — the engine is a ShardedEngine of --shards N
+//                          shards (N = 1 included); the engine worker
+//                          routes a coalesced batch, applies the first
+//                          touched shard's slice itself, hands every other
+//                          touched slice to that shard's worker thread
+//                          (shards 1..N-1 each have one, optionally
+//                          core-pinned, behind a small bounded queue) and
+//                          blocks until all shards committed, then acks
+//                          every folded request. Reads merge per-shard
+//                          views in canonical order, so responses are
+//                          byte-identical across shard counts
 //                          (docs/serving.md#sharded-serving).
 //
 // Admission control: the queue has a hard capacity and a reject watermark;
@@ -105,13 +107,15 @@ struct ServerOptions {
   /// Connection-handling pool size = max concurrent connections.
   size_t connection_workers = 16;
 
-  /// Engine shards (`mc3 serve --shards`). 1 keeps the legacy single
-  /// OnlineEngine; N > 1 splits the live components across N engines with
-  /// dedicated shard worker threads, byte-equivalent on every verb
-  /// (docs/serving.md#sharded-serving).
+  /// Engine shards (`mc3 serve --shards`; 0 is taken as 1). The live
+  /// components are split across this many engines; a batch's slices
+  /// apply in parallel, the first touched one on the engine worker and
+  /// the others on shards 1..N-1's worker threads. Every count answers
+  /// every verb with the same bytes (docs/serving.md#sharded-serving).
   uint32_t shards = 1;
-  /// Pin shard worker i to CPU core i % hardware_concurrency
-  /// (`mc3 serve --pin-cores`; Linux only, silently ignored elsewhere).
+  /// Pin the engine worker (shard 0's applier) to CPU core 0 and shard
+  /// worker i to core i % hardware_concurrency (`mc3 serve --pin-cores`;
+  /// Linux only, silently ignored elsewhere).
   bool pin_cores = false;
 
   /// Price unknown classifiers of added queries at this default difficulty
@@ -274,18 +278,19 @@ class Server {
   /// the queue is closed and empty.
   bool ProcessNext(bool drain_only);
 
-  /// Applies one net batch through the engine, dispatching per-shard jobs
-  /// to the shard workers when they are running (engine_mu_ held).
-  /// `trace_ids` are the sampled requests folded into the batch: each
-  /// per-shard apply job records a shard_apply span carrying them.
+  /// Applies one net batch through the engine: the first touched shard's
+  /// job runs on the calling thread, the others on their shard workers
+  /// when they are running (engine_mu_ held). `trace_ids` are the sampled
+  /// requests folded into the batch: each per-shard apply job records a
+  /// shard_apply span carrying them.
   Result<online::UpdateStats> ApplyEngineUpdate(
       const std::vector<PropertySet>& add,
       const std::vector<PropertySet>& remove,
       const std::vector<uint64_t>& trace_ids) MC3_REQUIRES(engine_mu_);
   /// Folds the just-applied batch's routing into the per-shard counters and
-  /// obs metrics (engine_mu_ held). `ops` is the batch's op count, charged
-  /// to shard 0 when the engine is unsharded.
-  void RecordShardWork(size_t ops) MC3_REQUIRES(engine_mu_);
+  /// obs metrics (engine_mu_ held): each shard is charged the ops routed
+  /// to it and flagged in `touched` (one entry per shard).
+  void RecordShardWork(std::vector<bool>* touched) MC3_REQUIRES(engine_mu_);
   /// Body of shard worker `index`: drain the shard queue until closed.
   void ShardWorkerLoop(size_t index);
 
@@ -340,10 +345,6 @@ class Server {
   /// Interns `names` into the engine's property table (engine_mu_ held).
   PropertySet InternQuery(const std::vector<std::string>& names)
       MC3_REQUIRES(engine_mu_);
-  /// Prices unknown classifiers of `added` at options_.default_cost
-  /// (engine_mu_ held; no-op when default_cost < 0).
-  Status PriceUnknown(const std::vector<PropertySet>& added)
-      MC3_REQUIRES(engine_mu_);
 
   void WriteResponse(const std::shared_ptr<Connection>& conn,
                      const std::string& line);
@@ -389,9 +390,10 @@ class Server {
   std::shared_ptr<const std::vector<std::string>> published_names_
       MC3_GUARDED_BY(engine_mu_);
 
-  /// Shard workers (only with shards > 1 and a live engine worker): one
-  /// small job queue + thread per shard. Counters are Server-level atomics
-  /// so the inline stats path never touches engine_mu_.
+  /// Shard workers (whenever the engine worker runs): one small job queue
+  /// + thread per shard but shard 0, whose slot stays null (the engine
+  /// worker applies its slice). Counters are Server-level atomics, one per
+  /// shard, so the inline stats path never touches engine_mu_.
   struct ShardCounters {
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> ops{0};

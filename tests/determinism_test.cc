@@ -374,8 +374,9 @@ TEST(DeterminismTest, ShardedEngineMatchesSingleEngineByteForByte) {
 }
 
 TEST(DeterminismTest, OneShardFacadeIsATransparentPassThrough) {
-  // num_shards == 1 must be the legacy engine byte for byte, including the
-  // non-canonical (history-ordered) export and the running total cost.
+  // num_shards == 1 runs the routed path, and must still be a bare
+  // OnlineEngine byte for byte, including the non-canonical
+  // (history-ordered) export and the running total cost.
   const InstanceContent content = SeededContent(103, /*num_queries=*/10);
   const Instance base = BuildShuffled(content, 19, /*shuffle_queries=*/false);
   const std::vector<NetBatch> batches = ChurnBatches(content.queries);
@@ -396,6 +397,38 @@ TEST(DeterminismTest, OneShardFacadeIsATransparentPassThrough) {
   EXPECT_EQ(CostBytes(facade.TotalCost()), CostBytes(single.TotalCost()));
   EXPECT_EQ(durability::RenderSnapshot(facade.ExportSharded().state, 3),
             durability::RenderSnapshot(single.ExportState(), 3));
+}
+
+TEST(DeterminismTest, LastBatchCountsRoutedOpsAtEveryShardCount) {
+  // Every layout charges a shard the ops routed to it: a duplicate add and
+  // a missing remove reach no shard, at 1 shard as at 2.
+  const Instance base = testing::PaperExample();
+  const PropertySet fresh = PropertySet::Of({10});
+  const PropertySet missing = PropertySet::Of({11});
+  for (const uint32_t shards : {1u, 2u}) {
+    online::ShardedEngine engine(shards);
+    ASSERT_TRUE(engine.Initialize(base).ok());
+    ASSERT_TRUE(engine.SetCost(fresh, 1).ok());
+    auto stats = engine.ApplyUpdate({base.queries().front(), fresh},
+                                    {missing, base.queries().back()});
+    ASSERT_TRUE(stats.ok()) << stats.status().message();
+    EXPECT_EQ(stats->duplicate_adds, 1u);
+    EXPECT_EQ(stats->missing_removes, 1u);
+    const std::vector<size_t>& ops = engine.last_batch().shard_ops;
+    ASSERT_EQ(ops.size(), shards);
+    EXPECT_EQ(std::accumulate(ops.begin(), ops.end(), size_t{0}), 2u)
+        << shards << " shards";
+    if (shards == 1) {
+      // The facade's counters are the lone shard's.
+      const online::EngineCounters facade = engine.counters();
+      const online::EngineCounters shard = engine.shard(0).counters();
+      EXPECT_EQ(facade.updates, shard.updates);
+      EXPECT_EQ(facade.queries_added, shard.queries_added);
+      EXPECT_EQ(facade.queries_removed, shard.queries_removed);
+      EXPECT_EQ(facade.components_resolved, shard.components_resolved);
+      EXPECT_EQ(facade.queries_touched, shard.queries_touched);
+    }
+  }
 }
 
 TEST(DeterminismTest, ShardedCanonicalCostIsLayoutIndependent) {

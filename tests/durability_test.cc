@@ -30,6 +30,7 @@ namespace {
 namespace fs = std::filesystem;
 using mc3::testing::PaperExample;
 using online::OnlineEngine;
+using online::ShardedEngine;
 
 /// Fresh per-test scratch directory, removed on destruction.
 struct ScratchDir {
@@ -303,39 +304,38 @@ TEST(WalTest, EnsureSeqFloorNeverReassignsCoveredSequences) {
   ASSERT_TRUE((*reopened)->Close().ok());
 }
 
-/// A small engine with named properties, churned a little so components
-/// and stored solutions are non-trivial.
-OnlineEngine MakeEngine() {
-  OnlineEngine engine;
+/// A small 1-shard engine with named properties.
+ShardedEngine MakeEngine() {
+  ShardedEngine engine(1);
   auto init = engine.Initialize(PaperExample());
   EXPECT_TRUE(init.ok()) << init.status().ToString();
   return engine;
 }
 
 TEST(SnapshotTest, RenderParseReRenderIsByteStable) {
-  OnlineEngine engine = MakeEngine();
-  const online::EngineState state = engine.ExportState();
-  const std::string json = RenderSnapshot(state, 42);
+  ShardedEngine engine = MakeEngine();
+  const online::ShardedState state = engine.ExportSharded();
+  const std::string json = RenderShardedSnapshot(state, 42);
   ASSERT_TRUE(ValidateSnapshotJson(json).ok());
 
   auto parsed = ParseSnapshot(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->seq, 42u);
   // The canonical EngineState form makes render o parse the identity.
-  EXPECT_EQ(RenderSnapshot(parsed->state, 42), json);
+  EXPECT_EQ(RenderShardedSnapshot(parsed->state, 42), json);
 
   // And importing reproduces the engine.
-  OnlineEngine restored;
-  ASSERT_TRUE(restored.ImportState(parsed->state).ok());
+  ShardedEngine restored(1);
+  ASSERT_TRUE(restored.ImportSharded(parsed->state).ok());
   ASSERT_TRUE(restored.CheckInvariants().ok());
   EXPECT_EQ(restored.TotalCost(), engine.TotalCost());
   EXPECT_EQ(restored.NumQueries(), engine.NumQueries());
-  EXPECT_EQ(RenderSnapshot(restored.ExportState(), 42), json);
+  EXPECT_EQ(RenderShardedSnapshot(restored.ExportSharded(), 42), json);
 }
 
 TEST(SnapshotTest, ValidateRejectsStructuralDamage) {
-  OnlineEngine engine = MakeEngine();
-  const std::string json = RenderSnapshot(engine.ExportState(), 7);
+  ShardedEngine engine = MakeEngine();
+  const std::string json = RenderShardedSnapshot(engine.ExportSharded(), 7);
 
   std::string wrong_schema = json;
   const size_t at = wrong_schema.find("mc3.snapshot/1");
@@ -351,10 +351,10 @@ TEST(SnapshotTest, ValidateRejectsStructuralDamage) {
 
 TEST(SnapshotTest, LoadLatestSkipsInvalidNewerFiles) {
   ScratchDir dir("snapload");
-  OnlineEngine engine = MakeEngine();
-  auto older = WriteSnapshotFile(dir.path, engine.ExportState(), 3);
+  ShardedEngine engine = MakeEngine();
+  auto older = WriteSnapshotFile(dir.path, engine.ExportSharded(), 3);
   ASSERT_TRUE(older.ok()) << older.status().ToString();
-  auto newer = WriteSnapshotFile(dir.path, engine.ExportState(), 9);
+  auto newer = WriteSnapshotFile(dir.path, engine.ExportSharded(), 9);
   ASSERT_TRUE(newer.ok());
 
   auto best = LoadLatestSnapshot(dir.path);
@@ -372,11 +372,11 @@ TEST(SnapshotTest, LoadLatestSkipsInvalidNewerFiles) {
 
 TEST(SnapshotTest, EmbeddedSeqMustMatchTheFileName) {
   ScratchDir dir("snapseq");
-  OnlineEngine engine = MakeEngine();
+  ShardedEngine engine = MakeEngine();
   fs::create_directories(dir.path);
   // A document claiming seq 7 under the seq-9 file name is invalid: the
   // name is what rotation trusts when deleting covered segments.
-  const std::string json = RenderSnapshot(engine.ExportState(), 7);
+  const std::string json = RenderShardedSnapshot(engine.ExportSharded(), 7);
   std::ofstream(dir.path + "/" + SnapshotFileName(9), std::ios::binary)
       << json;
   auto best = LoadLatestSnapshot(dir.path);
@@ -391,24 +391,24 @@ DurabilityOptions ManagerOptions(const std::string& dir) {
   return options;
 }
 
-/// Drives `engine` through `rounds` remove+re-add churn rounds, logging
-/// every batch through `manager` the way the server does.
-void Churn(OnlineEngine* engine, DurabilityManager* manager, size_t rounds) {
-  const Instance live = engine->LiveInstance();
+/// Drives the 1-shard `engine` through `rounds` remove+re-add churn rounds,
+/// logging every batch through `manager` the way the server does.
+void Churn(ShardedEngine* engine, DurabilityManager* manager, size_t rounds) {
+  const Instance live = engine->shard(0).LiveInstance();
   const auto& queries = live.queries();
   ASSERT_GE(queries.size(), 1u);
   for (size_t r = 0; r < rounds; ++r) {
     const std::vector<PropertySet> chunk{queries[r % queries.size()]};
-    ASSERT_TRUE(engine->RemoveQueries(chunk).ok());
+    ASSERT_TRUE(engine->ApplyUpdate({}, chunk).ok());
     ASSERT_TRUE(manager->LogBatch({}, chunk, engine->property_names()).ok());
-    ASSERT_TRUE(engine->AddQueries(chunk).ok());
+    ASSERT_TRUE(engine->ApplyUpdate(chunk, {}).ok());
     ASSERT_TRUE(manager->LogBatch(chunk, {}, engine->property_names()).ok());
   }
 }
 
 /// Sorted current-solution classifiers — the equivalence fingerprint
 /// (property ids are stable across recovery, the name table is restored).
-std::vector<PropertySet> Fingerprint(const OnlineEngine& engine) {
+std::vector<PropertySet> Fingerprint(const ShardedEngine& engine) {
   return engine.CurrentSolution().Sorted();
 }
 
@@ -416,7 +416,7 @@ TEST(DurabilityManagerTest, RecoverFromEmptyDirMatchesInitialize) {
   ScratchDir dir("mgr_empty");
   auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
-  OnlineEngine engine;
+  ShardedEngine engine(1);
   auto recovery =
       (*manager)->Recover(PaperExample(), /*default_cost=*/-1, &engine);
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
@@ -424,7 +424,7 @@ TEST(DurabilityManagerTest, RecoverFromEmptyDirMatchesInitialize) {
   EXPECT_EQ(recovery->wal_records_replayed, 0u);
   ASSERT_TRUE((*manager)->Close().ok());
 
-  OnlineEngine plain;
+  ShardedEngine plain(1);
   ASSERT_TRUE(plain.Initialize(PaperExample()).ok());
   EXPECT_EQ(Fingerprint(engine), Fingerprint(plain));
   EXPECT_EQ(engine.TotalCost(), plain.TotalCost());
@@ -432,7 +432,7 @@ TEST(DurabilityManagerTest, RecoverFromEmptyDirMatchesInitialize) {
 
 TEST(DurabilityManagerTest, SnapshotPlusWalTailReproducesTheLiveEngine) {
   ScratchDir dir("mgr_recover");
-  OnlineEngine live;
+  ShardedEngine live(1);
   {
     auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
     ASSERT_TRUE(manager.ok());
@@ -440,14 +440,14 @@ TEST(DurabilityManagerTest, SnapshotPlusWalTailReproducesTheLiveEngine) {
     ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
     Churn(&live, manager->get(), 3);
     // Snapshot mid-history: recovery must combine it with the WAL tail.
-    auto checkpoint = (*manager)->Checkpoint(live.ExportState());
+    auto checkpoint = (*manager)->Checkpoint(live.ExportSharded());
     ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
     EXPECT_EQ(checkpoint->seq, 6u);
     Churn(&live, manager->get(), 2);
     ASSERT_TRUE((*manager)->Close().ok());
   }
 
-  OnlineEngine recovered;
+  ShardedEngine recovered(1);
   auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
   ASSERT_TRUE(manager.ok());
   auto recovery = (*manager)->Recover(PaperExample(), -1, &recovered);
@@ -462,13 +462,13 @@ TEST(DurabilityManagerTest, SnapshotPlusWalTailReproducesTheLiveEngine) {
   ASSERT_TRUE(recovered.CheckInvariants().ok());
   EXPECT_EQ(Fingerprint(recovered), Fingerprint(live));
   EXPECT_EQ(recovered.TotalCost(), live.TotalCost());
-  EXPECT_EQ(RenderSnapshot(recovered.ExportState(), 0),
-            RenderSnapshot(live.ExportState(), 0));
+  EXPECT_EQ(RenderShardedSnapshot(recovered.ExportSharded(), 0),
+            RenderShardedSnapshot(live.ExportSharded(), 0));
 }
 
 TEST(DurabilityManagerTest, TornFinalRecordRecoversThePrefix) {
   ScratchDir dir("mgr_torn");
-  OnlineEngine live;
+  ShardedEngine live(1);
   {
     auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
     ASSERT_TRUE(manager.ok());
@@ -478,7 +478,7 @@ TEST(DurabilityManagerTest, TornFinalRecordRecoversThePrefix) {
   }
   Chop(LastSegmentPath(dir.path), 3);
 
-  OnlineEngine recovered;
+  ShardedEngine recovered(1);
   auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
   ASSERT_TRUE(manager.ok());
   auto recovery = (*manager)->Recover(PaperExample(), -1, &recovered);
@@ -496,13 +496,13 @@ TEST(DurabilityManagerTest, TornFinalRecordRecoversThePrefix) {
 
 TEST(DurabilityManagerTest, SnapshotNewerThanWholeWalStillRecovers) {
   ScratchDir dir("mgr_stale");
-  OnlineEngine live;
+  ShardedEngine live(1);
   {
     auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
     ASSERT_TRUE(manager.ok());
     ASSERT_TRUE((*manager)->Recover(PaperExample(), -1, &live).ok());
     Churn(&live, manager->get(), 2);
-    ASSERT_TRUE((*manager)->Checkpoint(live.ExportState()).ok());
+    ASSERT_TRUE((*manager)->Checkpoint(live.ExportSharded()).ok());
     ASSERT_TRUE((*manager)->Close().ok());
   }
   // Lose every WAL segment; the snapshot (seq 4) is all that's left.
@@ -512,7 +512,7 @@ TEST(DurabilityManagerTest, SnapshotNewerThanWholeWalStillRecovers) {
     fs::remove(dir.path + "/" + segment);
   }
 
-  OnlineEngine recovered;
+  ShardedEngine recovered(1);
   auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
   ASSERT_TRUE(manager.ok());
   auto recovery = (*manager)->Recover(PaperExample(), -1, &recovered);
@@ -525,7 +525,7 @@ TEST(DurabilityManagerTest, SnapshotNewerThanWholeWalStillRecovers) {
   // Sequences <= snapshot_seq must never be reassigned: the next logged
   // batch continues past the snapshot.
   auto seq = (*manager)->LogBatch(
-      {}, {recovered.LiveInstance().queries().front()},
+      {}, {recovered.shard(0).LiveInstance().queries().front()},
       recovered.property_names());
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   EXPECT_EQ(*seq, 5u);
@@ -538,7 +538,7 @@ TEST(DurabilityManagerTest, CheckpointPolicyByUpdateCount) {
   options.checkpoint_every_updates = 3;
   auto manager = DurabilityManager::Open(options);
   ASSERT_TRUE(manager.ok());
-  OnlineEngine engine;
+  ShardedEngine engine(1);
   ASSERT_TRUE((*manager)->Recover(PaperExample(), -1, &engine).ok());
 
   EXPECT_FALSE((*manager)->ShouldCheckpoint());
@@ -546,7 +546,7 @@ TEST(DurabilityManagerTest, CheckpointPolicyByUpdateCount) {
   EXPECT_FALSE((*manager)->ShouldCheckpoint());
   Churn(&engine, manager->get(), 1);  // 4 batches
   EXPECT_TRUE((*manager)->ShouldCheckpoint());
-  ASSERT_TRUE((*manager)->Checkpoint(engine.ExportState()).ok());
+  ASSERT_TRUE((*manager)->Checkpoint(engine.ExportSharded()).ok());
   EXPECT_FALSE((*manager)->ShouldCheckpoint());
   ASSERT_TRUE((*manager)->Close().ok());
 }
@@ -573,7 +573,7 @@ TEST(DurabilityManagerTest, ReplayInterningNewNamesMatchesOfflineReplay) {
   {
     auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
     ASSERT_TRUE(manager.ok()) << manager.status().ToString();
-    OnlineEngine engine;
+    ShardedEngine engine(1);
     ASSERT_TRUE(
         (*manager)->Recover(PaperExample(), kDefaultCost, &engine).ok());
     for (const std::string& payload : payloads) {
@@ -581,7 +581,7 @@ TEST(DurabilityManagerTest, ReplayInterningNewNamesMatchesOfflineReplay) {
     }
     ASSERT_TRUE((*manager)->Close().ok());
   }
-  OnlineEngine recovered;
+  ShardedEngine recovered(1);
   auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   auto recovery = (*manager)->Recover(PaperExample(), kDefaultCost, &recovered);
@@ -621,7 +621,7 @@ TEST(DurabilityManagerTest, ReplayInterningNewNamesMatchesOfflineReplay) {
             PaperExample().property_names().size() + kRecords + kShared);
   EXPECT_EQ(recovered.property_names(), offline.property_names());
   ASSERT_TRUE(recovered.CheckInvariants().ok());
-  EXPECT_EQ(RenderSnapshot(recovered.ExportState(), 0),
+  EXPECT_EQ(RenderShardedSnapshot(recovered.ExportSharded(), 0),
             RenderSnapshot(offline.ExportState(), 0));
 }
 
@@ -630,8 +630,6 @@ TEST(DurabilityManagerTest, ReplayInterningNewNamesMatchesOfflineReplay) {
 // docs/durability.md). The WAL stays shard-agnostic — only snapshots
 // record the layout — so these tests cover the snapshot schema round-trip,
 // the layout-mismatch guard, and manager-level sharded recovery.
-
-using online::ShardedEngine;
 
 /// A churned sharded engine over the paper example (every shard count
 /// yields the same canonical state; the placement varies).
@@ -660,12 +658,13 @@ TEST(SnapshotTest, ShardedRenderParseReRenderIsByteStable) {
   auto parsed = ParseSnapshot(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->seq, 9u);
-  EXPECT_EQ(parsed->num_shards, 4u);
-  ASSERT_EQ(parsed->component_shards.size(), state.component_shards.size());
-  EXPECT_EQ(RenderShardedSnapshot(parsed->ToShardedState(), 9), json);
+  EXPECT_EQ(parsed->state.num_shards, 4u);
+  ASSERT_EQ(parsed->state.component_shards.size(),
+            state.component_shards.size());
+  EXPECT_EQ(RenderShardedSnapshot(parsed->state, 9), json);
 
   ShardedEngine restored(4);
-  ASSERT_TRUE(restored.ImportSharded(parsed->ToShardedState()).ok());
+  ASSERT_TRUE(restored.ImportSharded(parsed->state).ok());
   ASSERT_TRUE(restored.CheckInvariants().ok());
   EXPECT_EQ(restored.NumQueries(), engine.NumQueries());
   // Import restores the exact placement, so the re-export is byte-stable.
@@ -686,8 +685,10 @@ TEST(SnapshotTest, OneShardShardedExportIsTheLegacyDocument) {
   // And a v1 document parses as a 1-shard layout.
   auto parsed = ParseSnapshot(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->num_shards, 1u);
-  for (const uint32_t shard : parsed->component_shards) EXPECT_EQ(shard, 0u);
+  EXPECT_EQ(parsed->state.num_shards, 1u);
+  for (const uint32_t shard : parsed->state.component_shards) {
+    EXPECT_EQ(shard, 0u);
+  }
 }
 
 TEST(SnapshotTest, ShardLayoutMismatchIsRejectedOnImport) {
@@ -763,18 +764,20 @@ TEST(DurabilityManagerTest, ShardedRecoveryRejectsLayoutMismatch) {
 }
 
 TEST(DurabilityManagerTest, LegacySnapshotRecoversIntoAOneShardEngine) {
-  // Upgrade path: a data dir checkpointed by the pre-sharding server (v1
-  // document via OnlineEngine) recovers into the 1-shard facade unchanged.
+  // Upgrade path: a data dir checkpointed by the pre-sharding server (a v1
+  // document rendered from a bare OnlineEngine export) recovers into the
+  // 1-shard engine unchanged.
   ScratchDir dir("mgr_v1_upgrade");
   OnlineEngine old_engine;
-  {
-    auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
-    ASSERT_TRUE(manager.ok());
-    ASSERT_TRUE((*manager)->Recover(PaperExample(), -1, &old_engine).ok());
-    Churn(&old_engine, manager->get(), 2);
-    ASSERT_TRUE((*manager)->Checkpoint(old_engine.ExportState()).ok());
-    ASSERT_TRUE((*manager)->Close().ok());
+  ASSERT_TRUE(old_engine.Initialize(PaperExample()).ok());
+  const std::vector<PropertySet> queries = PaperExample().queries();
+  for (size_t r = 0; r < 2; ++r) {
+    ASSERT_TRUE(old_engine.RemoveQueries({queries[r]}).ok());
+    ASSERT_TRUE(old_engine.AddQueries({queries[r]}).ok());
   }
+  fs::create_directories(dir.path);
+  std::ofstream(dir.path + "/" + SnapshotFileName(4), std::ios::binary)
+      << RenderSnapshot(old_engine.ExportState(), 4);
   ShardedEngine facade(1);
   auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
   ASSERT_TRUE(manager.ok());

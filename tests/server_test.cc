@@ -933,6 +933,34 @@ TEST(ServerTest, ShardedServerMatchesSingleShardResponses) {
   sharded.Join();
 }
 
+TEST(ServerTest, ShardOpsCountRoutedOpsAtEveryShardCount) {
+  // stats.shards[].ops counts the ops routed to each shard, so one batch
+  // sums to the same total at every shard count: the duplicate add and the
+  // missing remove below reach no shard.
+  const std::string update =
+      R"({"op":"update","id":1,"add":[["red","shirt"],["x1","x2"]],)"
+      R"("remove":[["nope"],["tv"]]})";
+  for (const uint32_t shards : {1u, 2u}) {
+    ServerOptions options = TestOptions();
+    options.shards = shards;
+    Server server(options);
+    ASSERT_TRUE(server.Start(BaseInstance()).ok());
+    {
+      TestClient client(server.port());
+      ASSERT_TRUE(client.connected());
+      ASSERT_EQ(CodeOf(client.Call(update)), 200);
+    }
+    server.RequestDrain();
+    server.Join();
+    const ServerStats stats = server.GetStats();
+    ASSERT_EQ(stats.shards.size(), shards);
+    uint64_t routed = 0;
+    for (const ShardStats& shard : stats.shards) routed += shard.ops;
+    EXPECT_EQ(routed, 2u) << shards << " shard(s)";
+    EXPECT_EQ(stats.coalesced_ops, 4u) << shards << " shard(s)";
+  }
+}
+
 TEST(ServerTest, ShardedServerSurvivesConcurrentClients) {
   // The shard-worker fan-out path under real concurrency (the TSan job
   // runs this): multiple clients, cross-client property overlap, then a

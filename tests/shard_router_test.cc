@@ -210,6 +210,38 @@ TEST(ShardRouterTest, MergeMigratesTheSmallerGroupToTheLarger) {
   ASSERT_TRUE(router.CheckInvariants().ok());
 }
 
+TEST(ShardRouterTest, EmitsEachShardsOpsInFirstTouchOrder) {
+  // One shard gets the batch in batch order, minus the ops the engine
+  // skips, so its slots match a bare OnlineEngine fed the same batch.
+  ShardRouter one(1);
+  one.Route({Q({5, 6}), Q({0, 1})}, {});
+  const RoutePlan plan = one.Route({Q({9}), Q({3, 4}), Q({9}), Q({2})},
+                                   {Q({5, 6}), Q({7}), Q({0, 1})});
+  EXPECT_EQ(plan.shards[0].remove,
+            (std::vector<PropertySet>{Q({5, 6}), Q({0, 1})}));
+  EXPECT_EQ(plan.shards[0].add,
+            (std::vector<PropertySet>{Q({9}), Q({3, 4}), Q({2})}));
+
+  // Migrants follow their group's sorted order, ahead of the add that
+  // merged them and after the adds before it.
+  ShardRouter router(4);
+  const PropertySet a1 = FreshQueryOnShard(4, 0, 100);
+  const PropertySet b1 = FreshQueryOnShard(4, 1, 600);
+  const PropertySet b2 = Q({b1.ids().front(), 599});  // sorts before b1
+  router.Route({a1, Q({a1.ids().front(), 500}),
+                Q({a1.ids().front(), 501}), b1},
+               {});
+  router.Route({b2}, {});
+  ASSERT_EQ(router.ShardOf(b2), 1u);
+  const PropertySet before = FreshQueryOnShard(4, 0, 800);
+  const PropertySet bridge = Q({500, b1.ids().front()});
+  const RoutePlan merge = router.Route({before, bridge}, {});
+  EXPECT_EQ(merge.shards[1].remove, (std::vector<PropertySet>{b2, b1}));
+  EXPECT_EQ(merge.shards[0].add,
+            (std::vector<PropertySet>{before, b2, b1, bridge}));
+  ASSERT_TRUE(router.CheckInvariants().ok());
+}
+
 TEST(ShardRouterTest, MergeTieBreaksToTheSmallestShardIndex) {
   ShardRouter router(4);
   const PropertySet on2 = FreshQueryOnShard(4, 2, 100);
@@ -237,6 +269,50 @@ TEST(ShardRouterTest, ReAddedPropertiesRejoinTheirOldShard) {
   const PropertySet sibling = Q({q.ids().front()});
   router.Route({sibling}, {});
   EXPECT_EQ(router.ShardOf(sibling), 2u);
+  ASSERT_TRUE(router.CheckInvariants().ok());
+}
+
+TEST(ShardRouterTest, ChurnInsideOneLargeGroupKeepsItsBookkeeping) {
+  // A hub property links every query into one group, which then merges
+  // with a smaller group and loses queries from its first, middle and last
+  // slots. A removed query leaves its slot to the group's last query, and
+  // the merge folds the smaller group into the larger: the live set, the
+  // placement and the group slots must stay in step through all of it.
+  ShardRouter router(3);
+  std::vector<PropertySet> hub;
+  for (PropertyId p = 1; p <= 60; ++p) hub.push_back(Q({0, p}));
+  router.Route(hub, {});
+  const uint32_t hub_shard = router.ShardOf(hub.front());
+  std::vector<PropertySet> other;
+  for (PropertyId p = 201; p <= 210; ++p) other.push_back(Q({200, p}));
+  router.Route(other, {});
+  ASSERT_TRUE(router.CheckInvariants().ok());
+
+  router.Route({}, {hub.front(), hub[30], hub.back(), hub[7]});
+  ASSERT_TRUE(router.CheckInvariants().ok());
+  const RoutePlan merge = router.Route({Q({0, 200})}, {hub[8], other[4]});
+  ASSERT_TRUE(router.CheckInvariants().ok());
+  EXPECT_EQ(merge.queries_removed, 2u);
+  EXPECT_EQ(router.num_live(), 60u - 5u + 10u - 1u + 1u);
+  for (size_t i = 0; i < hub.size(); ++i) {
+    const bool removed = i == 0 || i == 7 || i == 8 || i == 30 || i == 59;
+    EXPECT_EQ(router.IsLive(hub[i]), !removed) << i;
+    if (!removed) {
+      EXPECT_EQ(router.ShardOf(hub[i]), hub_shard) << i;
+    }
+  }
+  for (size_t i = 0; i < other.size(); ++i) {
+    EXPECT_EQ(router.IsLive(other[i]), i != 4) << i;
+    if (i != 4) {
+      EXPECT_EQ(router.ShardOf(other[i]), hub_shard) << i;
+    }
+  }
+  // Removing everything still leaves a consistent (empty) router.
+  std::vector<PropertySet> all = hub;
+  all.insert(all.end(), other.begin(), other.end());
+  all.push_back(Q({0, 200}));
+  router.Route({}, all);
+  EXPECT_EQ(router.num_live(), 0u);
   ASSERT_TRUE(router.CheckInvariants().ok());
 }
 

@@ -250,9 +250,10 @@ bool ParseSolverKind(const std::string& name,
 /// interleavings — live serving vs. WAL replay (`mc3 recover`) vs. offline
 /// trace replay — render byte-identical files, which is what
 /// scripts/recover_smoke.sh diffs.
-/// Templated over the engine type: `mc3 recover` renders through the
-/// sharded facade (whose merged CurrentSolution dedupes across shards) and
-/// everything else through a plain OnlineEngine.
+/// Templated over the engine type: `mc3 recover` and the bench `wal` case
+/// render through the sharded facade (whose merged CurrentSolution dedupes
+/// across shards), offline `mc3 serve --trace` through a plain
+/// OnlineEngine.
 template <typename EngineT>
 Result<std::string> RenderCanonicalSolution(const EngineT& engine) {
   const std::vector<std::string>& names = engine.property_names();
@@ -1134,11 +1135,12 @@ int CmdBench(const BenchConfig& config) {
     cases.push_back(std::move(bench_case));
   }
 
-  // Case 4: the durability path — the online churn of case 3 with every
-  // batch WAL-logged (immediate fsync so the work counters are
-  // repeat-stable), a mid-run checkpoint, then a full recovery into a
-  // second engine that must reproduce the live solution exactly. Uses a
-  // throwaway data dir under the working directory, recreated per repeat.
+  // Case 4: the durability path — the online churn of case 3, through the
+  // 1-shard serving engine, with every batch WAL-logged (immediate fsync so
+  // the work counters are repeat-stable), a mid-run checkpoint, then a full
+  // recovery into a second engine that must reproduce the live solution
+  // exactly. Uses a throwaway data dir under the working directory,
+  // recreated per repeat.
   if (CaseSelected(config, "wal")) {
     data::SyntheticConfig synth;
     synth.num_queries = scaled(2000);
@@ -1156,14 +1158,13 @@ int CmdBench(const BenchConfig& config) {
     const std::string data_dir =
         "bench_wal." + std::to_string(::getpid()) + ".tmp";
     obs::BenchCase bench_case;
-    std::unique_ptr<online::OnlineEngine> engine;
+    std::unique_ptr<online::ShardedEngine> engine;
     Status status = RunRepeated(
         "wal", config,
         [&]() -> Status {
           std::error_code ec;
           std::filesystem::remove_all(data_dir, ec);
-          engine =
-              std::make_unique<online::OnlineEngine>(online::EngineOptions{});
+          engine = std::make_unique<online::ShardedEngine>(1);
           durability::DurabilityOptions durability_options;
           durability_options.data_dir = data_dir;
           durability_options.wal.sync =
@@ -1179,24 +1180,24 @@ int CmdBench(const BenchConfig& config) {
           for (size_t b = 0; b < batches; ++b) {
             const auto begin = queries.begin() + b * batch;
             const std::vector<PropertySet> chunk(begin, begin + batch);
-            auto removed = engine->RemoveQueries(chunk);
+            auto removed = engine->ApplyUpdate({}, chunk);
             if (!removed.ok()) return removed.status();
             auto logged =
                 (*manager)->LogBatch({}, chunk, engine->property_names());
             if (!logged.ok()) return logged.status();
-            auto added = engine->AddQueries(chunk);
+            auto added = engine->ApplyUpdate(chunk, {});
             if (!added.ok()) return added.status();
             logged = (*manager)->LogBatch(chunk, {}, engine->property_names());
             if (!logged.ok()) return logged.status();
             if (b + 1 == (batches + 1) / 2) {
-              auto checkpoint = (*manager)->Checkpoint(engine->ExportState());
+              auto checkpoint = (*manager)->Checkpoint(engine->ExportSharded());
               if (!checkpoint.ok()) return checkpoint.status();
             }
           }
           if (Status s = (*manager)->Close(); !s.ok()) return s;
           // Reopen and recover into a fresh engine: the canonical solution
           // must match the live engine byte for byte.
-          online::OnlineEngine recovered{online::EngineOptions{}};
+          online::ShardedEngine recovered(1);
           auto reopened =
               durability::DurabilityManager::Open(durability_options);
           if (!reopened.ok()) return reopened.status();
